@@ -9,7 +9,6 @@ explainers each contribute.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .explainers.navigation import LogFilterRules, filter_logs, situation_catalogue
 from .framework import ExplainerRegistry, aggregate, build_context, observe
@@ -125,14 +124,15 @@ def explain_all_components(
 ) -> Explanation:
     """Run every component explainer, then merge with one aggregation call.
 
-    Explainers run concurrently but are merged in registry order, so the
-    output is deterministic. An explainer failure degrades to a note in the
-    aggregation input rather than aborting the baseline.
+    Explainers run one after another in the calling thread, in registry
+    order, so the output is deterministic and the modelled ``wall_time`` (the
+    sum of every reasoner latency) matches how the calls were made. An
+    explainer failure degrades to a note in the aggregation input rather than
+    aborting the baseline.
     """
     start = time.perf_counter()
     store = observe(trace)
     context = build_context(query, store)
-    ids = registry.ids()
 
     def run_one(explainer_id: str) -> Explanation:
         explainer = registry.explainers[explainer_id]
@@ -147,9 +147,7 @@ def explain_all_components(
                 reasoner_calls=counter.calls,
             )
 
-    with ThreadPoolExecutor(max_workers=len(ids)) as pool:
-        explanations = list(pool.map(run_one, ids))
-
+    explanations = [run_one(explainer_id) for explainer_id in registry.ids()]
     merged = aggregate(explanations, query, reasoner)
     elapsed = time.perf_counter() - start
     # merged.wall_time already sums the per-explainer virtual latencies

@@ -17,7 +17,7 @@ from .framework import ExplainerError, SelectionError, explain_hexar
 from .reasoner import NoMatchError, ReasonerError, make_reasoner
 from .scenarios import list_scenarios, read_manifest, write_manifest
 from .simulate import generate_trace
-from .trace import Query, TraceError, read_trace, write_trace
+from .trace import Query, TraceError, read_trace, validate_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,6 +87,7 @@ def _explain_once(trace, query_text: str, method: str, registry, reasoner) -> in
 def cmd_explain(args: argparse.Namespace) -> int:
     try:
         trace = read_trace(args.trace)
+        validate_trace(trace)
     except (OSError, TraceError) as exc:
         return _fail(str(exc))
     try:

@@ -7,6 +7,7 @@ catalogue of known navigation situations the reasoner may recognise.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -77,6 +78,7 @@ def filter_logs(lines: list[str], rules: LogFilterRules = LogFilterRules()) -> l
         current = reduced
 
 
+@functools.lru_cache(maxsize=None)
 def situation_catalogue() -> str:
     """Known navigation situations, rendered for the prompt."""
     entries = json.loads(

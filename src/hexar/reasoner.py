@@ -10,6 +10,7 @@ comparisons are deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -70,6 +71,7 @@ def _load_json(name: str):
     return json.loads(resources.files("hexar.data").joinpath(name).read_text("utf-8"))
 
 
+@functools.lru_cache(maxsize=None)
 def load_prompt_template(name: str) -> str:
     return resources.files("hexar.data").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 from hexar.baselines import (
@@ -9,9 +10,15 @@ from hexar.baselines import (
     explain_end_to_end,
 )
 from hexar.explainers.navigation import build_navigation_prompt
-from hexar.framework import build_context, explain_hexar, observe
+from hexar.framework import (
+    ComponentExplainer,
+    ExplainerRegistry,
+    build_context,
+    explain_hexar,
+    observe,
+)
 from hexar.reasoner import ReasonerRequest, ReasonerResponse, TextReasoner
-from hexar.trace import Query
+from hexar.trace import Explanation, Query
 
 
 class RecordingReasoner(TextReasoner):
@@ -129,3 +136,26 @@ def test_all_components_output_is_order_deterministic(registry, rule_reasoner, t
     first = explain_all_components(_query(trace), trace, registry, rule_reasoner)
     second = explain_all_components(_query(trace), trace, registry, rule_reasoner)
     assert first.text == second.text
+
+
+def test_all_components_runs_explainers_in_the_calling_thread(rule_reasoner, trace_cache):
+    seen: list[tuple[str, int]] = []
+
+    def probe(explainer_id):
+        def explain(query, context, events, reasoner):
+            seen.append((explainer_id, threading.get_ident()))
+            return Explanation(text=f"{explainer_id} ran.", produced_by=explainer_id)
+
+        return ComponentExplainer(
+            id=explainer_id, subscribed_sources=frozenset({"planner"}), explain_fn=explain
+        )
+
+    probes = ExplainerRegistry()
+    for explainer_id in ("first", "second", "third"):
+        probes.register(probe(explainer_id), [explainer_id])
+    trace = trace_cache(7)
+    threads_before = threading.active_count()
+    result = explain_all_components(_query(trace), trace, probes, rule_reasoner)
+    assert threading.active_count() == threads_before
+    assert seen == [(i, threading.get_ident()) for i in ("first", "second", "third")]
+    assert result.produced_by == "first+second+third+aggregator"

@@ -148,6 +148,23 @@ def test_explain_missing_trace_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("keep", ["header", "no_plan"])
+def test_explain_trace_without_plan_is_usage_error(charger_trace, tmp_path, capsys, keep):
+    lines = charger_trace.read_text(encoding="utf-8").splitlines()
+    if keep == "header":
+        lines = lines[:1]
+    else:
+        lines = [line for line in lines if '"kind": "plan"' not in line]
+        assert len(lines) > 2
+    path = tmp_path / f"{keep}.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(["explain", "--trace", str(path), "--query", "Why?"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "plan event" in err
+    assert "Traceback" not in err
+
+
 def test_explain_remote_without_endpoint_is_usage_error(charger_trace, capsys, monkeypatch):
     monkeypatch.delenv("HEXAR_REASONER_URL", raising=False)
     code, _, err = run(

@@ -11,6 +11,8 @@ from hexar.explainers.pizza import (
     PizzaExplainError,
     TreeLeaf,
     TreeNode,
+    _perturbations,
+    binary_cube,
     default_tree,
     exhaustive_attribution,
     explain_pizza,
@@ -21,6 +23,7 @@ from hexar.explainers.pizza import (
     predict_proba,
     train_tree,
 )
+from hexar.explainers import pizza
 from hexar.trace import ContextVector, Query
 
 D = len(INGREDIENTS)
@@ -237,6 +240,63 @@ def test_lime_attribute_validates_inputs():
         lime_attribute(tree, tuple([0] * D), "margherita", LimeConfig(n_samples=0))
 
 
+def test_lime_attribute_reproduces_the_pinned_draw_sequence():
+    """Exact default-config outputs for two instances; any change to the seeded
+    perturbation sequence or the probability lookup shows up here."""
+    tree = default_tree()
+    s20 = lime_attribute(tree, (1, 1, 1, 0, 0, 0, 0, 0, 0, 0), "margherita")
+    assert repr(s20.weights) == (
+        "(-0.027533579290443654, 0.06199225884432153, -0.019317233673623098, "
+        "-0.05701489930904439, -0.06232040972573259, -0.05884459245390589, "
+        "-0.064036317511859, -0.016143031533909908, -0.008405350714420728, "
+        "-0.008873029885351104)"
+    )
+    assert repr(s20.intercept) == "0.1498346600825957"
+    other = lime_attribute(tree, (0, 1, 0, 0, 0, 0, 1, 1, 0, 0), "hawaiian")
+    assert repr(other.weights) == (
+        "(0.014091629166189298, -0.010230559969449876, 0.007322110112840217, "
+        "-0.5502580281413868, -0.009010302102691568, -0.008583181811821307, "
+        "0.5646980632833465, -0.008344780921424898, 0.002967263260491613, "
+        "0.02074965870165889)"
+    )
+    assert repr(other.intercept) == "0.2546341825318168"
+
+
+def test_proba_table_matches_tree_walk_over_the_cube():
+    tree = default_tree()
+    for code, z in enumerate(binary_cube(D).astype(int).tolist()):
+        assert tuple(tree.proba_table[:, code]) == predict_proba(tree, z)
+
+
+def test_default_tree_is_trained_once(monkeypatch, trace_cache):
+    trainings = []
+
+    def counting_train_tree(*args, **kwargs):
+        trainings.append(1)
+        return train_tree(*args, **kwargs)
+
+    monkeypatch.setattr(pizza, "train_tree", counting_train_tree)
+    default_tree.cache_clear()
+    trace = trace_cache(20)
+    events = trace.by_source({"pizza_recommender"})
+    query = Query(text="Why did you pick that pizza?", asked_at=trace.events[-1].ts)
+    explain_pizza(query, _pizza_context(), events)
+    explain_pizza(query, _pizza_context(), events)
+    assert len(trainings) == 1
+    assert default_tree() is default_tree()
+
+
+def test_cached_perturbations_are_read_only():
+    rows, codes = _perturbations(0, 1000, D)
+    assert rows.shape == (999, D)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        codes[0] = 0
+    with pytest.raises(ValueError):
+        default_tree().proba_table[0, 0] = 0.5
+
+
 # -- trace-facing explanation --------------------------------------------------
 
 
@@ -258,6 +318,9 @@ def test_explain_pizza_names_recommendation_and_top_ingredient(trace_cache):
     assert "because mozzarella was available" in explanation.text
     assert explanation.reasoner_calls == 0
     assert explanation.produced_by == "pizza_recommender"
+    assert explanation.text.endswith(
+        "mozzarella (+0.062), basil (-0.019), tomato (-0.028)."
+    )
     again = explain_pizza(query, _pizza_context(), events)
     assert again.text == explanation.text
 
