@@ -13,7 +13,7 @@ import time
 from .explainers.navigation import LogFilterRules, filter_logs, situation_catalogue
 from .framework import ExplainerRegistry, aggregate, build_context, observe
 from .reasoner import ReasonerRequest, ReasonerResponse, TextReasoner, load_prompt_template
-from .trace import Event, Explanation, Query, TaskPlan, Trace
+from .trace import Event, Explanation, Query, Trace
 
 
 class _CountingReasoner(TextReasoner):
@@ -45,7 +45,7 @@ def build_end_to_end_prompt(
     rules: LogFilterRules = LogFilterRules(),
 ) -> str:
     events = end_to_end_view(trace, registry)
-    plan = TaskPlan.from_payload(trace.plan_event.payload)
+    plan = trace.plan
 
     steps = []
     for step in plan.steps:

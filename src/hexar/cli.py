@@ -15,7 +15,7 @@ from .baselines import explain_all_components, explain_end_to_end
 from .explainers import build_default_registry
 from .framework import ExplainerError, SelectionError, explain_hexar
 from .reasoner import NoMatchError, ReasonerError, make_reasoner
-from .scenarios import list_scenarios, read_manifest, write_manifest
+from .scenarios import grid_triples, list_scenarios, read_manifest, write_manifest
 from .simulate import generate_trace
 from .trace import Query, TraceError, read_trace, validate_trace, write_trace
 
@@ -115,7 +115,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.manifest:
             triples = read_manifest(args.manifest)
         else:
-            triples = evaluation.full_grid_triples()
+            triples = grid_triples()
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     try:

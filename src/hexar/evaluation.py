@@ -10,16 +10,12 @@ from pathlib import Path
 
 from .baselines import explain_all_components, explain_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
-from .framework import ExplainerRegistry, explain_hexar
-from .reasoner import TextReasoner
-from .scenarios import (
-    CONTRADICTED_FACTS,
-    get_scenario,
-    grid_triples,
-)
+from .framework import ExplainerError, ExplainerRegistry, SelectionError, explain_hexar
+from .reasoner import ReasonerError, TextReasoner
+from .scenarios import CONTRADICTED_FACTS, get_scenario
 from .simulate import generate_trace
 from .stats import cochran_q, holm_adjust, mcnemar
-from .trace import Query, Trace
+from .trace import Query, Trace, TraceError
 
 METHODS = ("hexar", "end_to_end", "all_components")
 
@@ -109,8 +105,10 @@ def run_grid(
     """Explain every (scenario, variant, query) point with every method.
 
     One trace per (scenario, variant) is generated and shared by all
-    methods and queries. Per-sample failures yield a flagged record with an
-    empty explanation instead of aborting the run.
+    methods and queries. A per-sample failure the design expects (a trace,
+    selection, explainer or reasoner error) yields a flagged record with an
+    empty explanation instead of aborting the run; any other exception is a
+    bug and propagates.
     """
     registry = registry or build_default_registry()
     for method in methods:
@@ -140,7 +138,7 @@ def run_grid(
         sample = _sample_id(scenario_id, variant, query_index, method)
         try:
             explanation = _dispatch(method, query, trace, registry, reasoner)
-        except Exception as exc:
+        except (TraceError, SelectionError, ExplainerError, ReasonerError) as exc:
             return EvalRecord(
                 sample_id=sample,
                 scenario_id=scenario_id,
@@ -528,7 +526,3 @@ def render_report(
                 ["selection_accuracy", "", "hexar", f"{stats.selection_accuracy:.6f}", "", ""]
             )
     return report_path, stats_path
-
-
-def full_grid_triples() -> list[tuple[int, int, int]]:
-    return grid_triples()

@@ -42,9 +42,15 @@ class LogFilterRules:
             raise ValueError("max_lines must keep at least the first and last line")
 
 
+@functools.lru_cache(maxsize=32)
+def _compile(patterns: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
+    return tuple(re.compile(p) for p in patterns)
+
+
 def _filter_once(lines: list[str], rules: LogFilterRules) -> list[str]:
-    compiled = [re.compile(p) for p in rules.discard_patterns]
-    kept = [line for line in lines if not any(p.search(line) for p in compiled)]
+    kept = lines
+    for pattern in _compile(rules.discard_patterns):
+        kept = [line for line in kept if not pattern.search(line)]
 
     collapsed: list[str] = []
     run_start = 0

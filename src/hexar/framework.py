@@ -126,7 +126,7 @@ class ObservationStore:
         return self.trace.events
 
     def plan(self) -> TaskPlan:
-        return TaskPlan.from_payload(self.trace.plan_event.payload)
+        return self.trace.plan
 
 
 def observe(trace: Trace) -> ObservationStore:

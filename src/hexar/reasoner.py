@@ -15,7 +15,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 KNOWN_LOCATIONS = ("living room", "kitchen", "bedroom", "bathroom", "hallway")
@@ -77,10 +77,21 @@ def load_prompt_template(name: str) -> str:
 
 
 def _section(prompt: str, name: str) -> str | None:
-    """Text of a '## name' section, up to the next section header."""
-    pattern = re.compile(rf"^## {re.escape(name)}\n(.*?)(?=^## |\Z)", re.S | re.M)
-    match = pattern.search(prompt)
-    return match.group(1).strip() if match else None
+    """Text of the first '## name' section, up to the next section header.
+
+    A header is the line ``## name`` at the start of the prompt or after a
+    newline; the section ends before the next line starting with ``## ``.
+    """
+    header = f"## {name}\n"
+    if prompt.startswith(header):
+        start = len(header)
+    else:
+        start = prompt.find("\n" + header)
+        if start < 0:
+            return None
+        start += 1 + len(header)
+    end = prompt.find("\n## ", start - 1)
+    return prompt[start : end if end >= 0 else len(prompt)].strip()
 
 
 class RuleReasoner(TextReasoner):
@@ -307,9 +318,10 @@ class LatencyModelReasoner(TextReasoner):
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         response = self.inner.complete(request)
         chars = len(request.system_prompt) + len(request.user_prompt)
-        return replace(
-            response,
+        return ReasonerResponse(
+            text=response.text,
             latency=self.seconds_per_call + self.seconds_per_100_chars * chars / 100.0,
+            token_count=response.token_count,
         )
 
 

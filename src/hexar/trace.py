@@ -7,8 +7,9 @@ immutable after construction and safe to share between concurrent readers.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -83,15 +84,17 @@ class Trace:
     def by_source(self, sources: frozenset[str] | set[str]) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.source in sources)
 
-    def by_kind(self, kind: str) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.kind == kind)
-
     @property
     def plan_event(self) -> Event:
         for event in self.events:
             if event.kind == "plan":
                 return event
         raise TraceError("trace has no plan event")
+
+    @functools.cached_property
+    def plan(self) -> "TaskPlan":
+        """The plan event's payload, parsed on first access and kept."""
+        return TaskPlan.from_payload(self.plan_event.payload)
 
 
 @dataclass(frozen=True)
@@ -241,13 +244,32 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def _decode_line(raw: str) -> object:
+    """``json.loads(raw)`` without its per-call wrapper; same errors and positions."""
+    if raw.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+    value, end = _DECODER.raw_decode(raw, len(raw) - len(raw.lstrip(_JSON_WHITESPACE)))
+    rest = raw[end:].lstrip(_JSON_WHITESPACE)
+    if rest:
+        raise json.JSONDecodeError("Extra data", raw, len(raw) - len(rest))
+    return value
+
+
 def read_trace(path: str | Path) -> Trace:
-    """Parse a trace file, rejecting malformed lines and timestamp disorder."""
+    """Parse a trace file, rejecting malformed lines and timestamp disorder.
+
+    Each line is decoded on its own, so a record split over two lines or two
+    records on one line are rejected.
+    """
     raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not raw_lines:
         raise TraceError(f"{path}: empty trace file")
     try:
-        header = json.loads(raw_lines[0])
+        header = _decode_line(raw_lines[0])
         scenario_id = int(header["scenario_id"])
         task_variant = int(header["task_variant"])
         seed = int(header["seed"])
@@ -260,7 +282,7 @@ def read_trace(path: str | Path) -> Trace:
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
+            record = _decode_line(raw)
             event = Event(
                 ts=float(record["ts"]),
                 source=str(record["source"]),
@@ -298,7 +320,7 @@ def validate_trace(trace: Trace) -> None:
     if first_status is not None and first_status < plan_indices[0]:
         raise TraceError("skill_status event precedes the plan event")
 
-    plan = TaskPlan.from_payload(trace.events[plan_indices[0]].payload)
+    plan = trace.plan
     seen: dict[str, list[str]] = {}
     for event in trace.events:
         if event.kind == "skill_status":

@@ -88,6 +88,17 @@ def test_run_grid_rejects_unknown_method(rule_reasoner_module):
         run_grid(["telepathy"], grid_triples()[:1], rule_reasoner_module, seed=0)
 
 
+def test_run_grid_lets_program_bugs_propagate():
+    from hexar.reasoner import TextReasoner
+
+    class BuggyReasoner(TextReasoner):
+        def complete(self, request):
+            return 1 / 0
+
+    with pytest.raises(ZeroDivisionError):
+        run_grid(["hexar"], [(20, 1, 1)], BuggyReasoner(), seed=0)
+
+
 def test_run_grid_flags_per_sample_failures_without_aborting():
     from hexar.reasoner import ReasonerError, TextReasoner
 

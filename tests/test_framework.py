@@ -17,7 +17,8 @@ from hexar.framework import (
 )
 from hexar.reasoner import ReasonerResponse, TextReasoner
 from hexar.scenarios import grid_triples
-from hexar.trace import Event, Explanation, Query, Trace, TraceError
+from hexar.simulate import generate_trace
+from hexar.trace import Event, Explanation, Query, TaskPlan, Trace, TraceError
 
 
 class StubReasoner(TextReasoner):
@@ -115,6 +116,25 @@ def test_build_context_requires_plan():
     )
     with pytest.raises(TraceError):
         build_context(Query("Why?", 1.0), observe(trace))
+
+
+def test_plan_is_parsed_once_per_trace(monkeypatch, registry):
+    from hexar.baselines import build_end_to_end_prompt
+
+    calls = []
+    parse = TaskPlan.from_payload
+
+    def counting(payload):
+        calls.append(payload)
+        return parse(payload)
+
+    monkeypatch.setattr(TaskPlan, "from_payload", counting)
+    trace = generate_trace(7, 1, 0)  # not the session cache: its plans may be parsed already
+    query = _query(trace)
+    first = build_context(query, observe(trace))
+    assert build_context(query, observe(trace)) == first
+    build_end_to_end_prompt(query, trace, registry)
+    assert len(calls) == 1
 
 
 # -- selection -------------------------------------------------------------------

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexar.reasoner import (
     LatencyModelReasoner,
@@ -14,6 +17,8 @@ from hexar.reasoner import (
     RemoteReasoner,
     RemoteReasonerError,
     RuleReasoner,
+    TextReasoner,
+    _section,
     make_reasoner,
 )
 
@@ -102,6 +107,66 @@ def test_counterfactual_naturalisation_substitutes_values(rule_reasoner):
     assert "3.00 m" in response.text
 
 
+# -- prompt sections ----------------------------------------------------------
+
+# every section name the rule reasoner reads
+SECTION_NAMES = (
+    "Query",
+    "Navigation logs",
+    "Robot parameters",
+    "Grounding errors",
+    "Skill statuses",
+    "Instruction",
+    "Plan",
+    "Filtered logs",
+    "Other events",
+    "Counterfactual",
+    "Explanations to merge",
+)
+
+
+def _section_oracle(prompt: str, name: str) -> str | None:
+    """The regular-expression definition of a section, kept as the reference."""
+    pattern = re.compile(rf"^## {re.escape(name)}\n(.*?)(?=^## |\Z)", re.S | re.M)
+    match = pattern.search(prompt)
+    return match.group(1).strip() if match else None
+
+
+_PROMPT_PIECES = st.sampled_from(
+    ["## Query\n", "## Plan\n", "## Query", "## ", "##", "\n", "text", " ", "Query\n", "x## Query\n"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PROMPT_PIECES | st.text(alphabet="#Q \n\tx", max_size=6), max_size=12))
+def test_section_matches_the_regex_definition(pieces):
+    prompt = "".join(pieces)
+    for name in ("Query", "Plan"):
+        assert _section(prompt, name) == _section_oracle(prompt, name)
+
+
+class _RecordingReasoner(TextReasoner):
+    def __init__(self, inner: TextReasoner) -> None:
+        self.inner = inner
+        self.prompts: list[str] = []
+
+    def complete(self, request):
+        self.prompts.append(request.user_prompt)
+        return self.inner.complete(request)
+
+
+def test_section_matches_the_regex_definition_on_every_grid_prompt(rule_reasoner):
+    from hexar.evaluation import METHODS, run_grid
+    from hexar.scenarios import grid_triples
+
+    recorder = _RecordingReasoner(rule_reasoner)
+    run_grid(list(METHODS), grid_triples(), recorder, seed=0)
+    assert len(recorder.prompts) > 900
+    for prompt in recorder.prompts:
+        for name in SECTION_NAMES:
+            assert _section(prompt, name) == _section_oracle(prompt, name)
+
+
 def test_default_temperature_is_greedy():
     request = ReasonerRequest(system_prompt="s", user_prompt="u")
     assert request.temperature == 0.0
@@ -117,6 +182,7 @@ def test_latency_model_is_linear_in_prompt_size(rule_reasoner):
     expected = 2.0 + 0.5 * (len("sys") + len(prompt)) / 100.0
     assert response.latency == pytest.approx(expected, abs=1e-12)
     assert response.text == "pizza_recommender"
+    assert response.token_count == rule_reasoner.complete_text("sys", prompt).token_count
 
 
 def test_latency_model_rejects_negative_rates(rule_reasoner):

@@ -190,3 +190,53 @@ def test_validator_rejects_status_without_plan_coverage(trace_cache):
     trace = Trace(scenario_id=3, task_variant=1, seed=0, events=(plan_event,))
     with pytest.raises(TraceError, match="skill_status"):
         validate_trace(trace)
+
+
+_HEADER = '{"scenario_id": 1, "task_variant": 1, "seed": 0}'
+_EVENT = '{"ts": 0.5, "source": "navigation", "kind": "log", "payload": {"text": "hi"}}'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        (_EVENT + " x", "Extra data: line 1 column 79 (char 78)"),
+        (_EVENT + "\xa0", "Extra data: line 1 column 78 (char 77)"),
+        (
+            "﻿" + _EVENT,
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        ("[1, 2]", "list indices must be integers or slices, not str"),
+        ('{"ts": 0.5, "source": "navigation", "kind": "log"}', "'payload'"),
+    ],
+    ids=["not-json", "extra-data", "nbsp-after-record", "bom", "non-object", "no-payload"],
+)
+def test_read_trace_error_messages_match_json_loads(tmp_path, line, message):
+    # messages as json.loads reports them; the reader must not drift from them
+    path = tmp_path / "bad.trace"
+    path.write_text(f"{_HEADER}\n{line}\n", encoding="utf-8")
+    with pytest.raises(TraceError) as excinfo:
+        read_trace(path)
+    assert str(excinfo.value) == f"{path}: malformed event at line 2: {message}"
+
+
+def test_read_trace_header_error_message(tmp_path):
+    path = tmp_path / "blank-header.trace"
+    path.write_text("  \n", encoding="utf-8")
+    with pytest.raises(TraceError) as excinfo:
+        read_trace(path)
+    assert str(excinfo.value) == (
+        f"{path}: malformed header at line 1: Expecting value: line 1 column 3 (char 2)"
+    )
+
+
+@pytest.mark.parametrize("line", [" \t" + _EVENT + "\t  ", "\x0c", " \t "])
+def test_read_trace_accepts_padding_and_skips_blank_lines(tmp_path, line):
+    path = tmp_path / "padded.trace"
+    path.write_text(f"{_HEADER}\n{line}\n", encoding="utf-8")
+    trace = read_trace(path)
+    expected = 1 if _EVENT in line else 0
+    assert len(trace.events) == expected
+    if expected:
+        assert trace.events[0].payload == {"text": "hi"}
+
