@@ -14,7 +14,6 @@ from .framework import (
     aggregate,
     build_context,
     explain_hexar,
-    observe,
     select,
 )
 from .reasoner import (
@@ -57,7 +56,6 @@ __all__ = [
     "aggregate",
     "build_context",
     "explain_hexar",
-    "observe",
     "read_trace",
     "select",
     "write_trace",

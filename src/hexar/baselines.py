@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 
 from .explainers.navigation import LogFilterRules, filter_logs, situation_catalogue
-from .framework import ExplainerRegistry, aggregate, build_context, observe
+from .explainers.planner import format_plan
+from .framework import ANSWER_ERRORS, ExplainerRegistry, aggregate, build_context
 from .reasoner import ReasonerRequest, ReasonerResponse, TextReasoner, load_prompt_template
 from .trace import Event, Explanation, Query, Trace
 
@@ -47,15 +48,7 @@ def build_end_to_end_prompt(
     events = end_to_end_view(trace, registry)
     plan = trace.plan
 
-    steps = []
-    for step in plan.steps:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(step.params.items()))
-        steps.append(f"- {step.skill}({params})")
-    grounding = ""
-    if plan.grounding_errors:
-        listed = "\n".join(f"- {err}" for err in plan.grounding_errors)
-        grounding = f"## Grounding errors\n{listed}\n\n"
-
+    plan_steps, grounding = format_plan(plan)
     statuses = []
     for event in events:
         if event.kind == "skill_status":
@@ -83,7 +76,7 @@ def build_end_to_end_prompt(
     ]
     return load_prompt_template("end_to_end").format(
         instruction=plan.instruction,
-        plan_steps="\n".join(steps) or "(no steps)",
+        plan_steps=plan_steps,
         grounding_section=grounding,
         skill_statuses="\n".join(statuses) or "(none)",
         logs="\n".join(logs) or "(none)",
@@ -127,20 +120,20 @@ def explain_all_components(
     Explainers run one after another in the calling thread, in registry
     order, so the output is deterministic and the modelled ``wall_time`` (the
     sum of every reasoner latency) matches how the calls were made. An
-    explainer failure degrades to a note in the aggregation input rather than
-    aborting the baseline.
+    expected explainer failure (one of ``ANSWER_ERRORS``) degrades to a note
+    in the aggregation input rather than aborting the baseline; a bug
+    propagates.
     """
     start = time.perf_counter()
-    store = observe(trace)
-    context = build_context(query, store)
+    context = build_context(query, trace)
 
     def run_one(explainer_id: str) -> Explanation:
         explainer = registry.explainers[explainer_id]
-        events = store.view(explainer.subscribed_sources, window=context.window)
+        events = trace.by_source(explainer.subscribed_sources, window=context.window)
         counter = _CountingReasoner(reasoner)
         try:
             return explainer.explain_fn(query, context, events, counter)
-        except Exception as exc:  # degraded, never fatal for the sweep
+        except ANSWER_ERRORS as exc:  # degraded, never fatal for the sweep
             return Explanation(
                 text=f"[{explainer_id} explainer produced no answer: {exc}]",
                 produced_by=explainer_id,

@@ -11,13 +11,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation
-from .baselines import explain_all_components, explain_end_to_end
 from .explainers import build_default_registry
-from .framework import ExplainerError, SelectionError, explain_hexar
-from .reasoner import NoMatchError, ReasonerError, make_reasoner
+from .framework import ANSWER_ERRORS
+from .reasoner import ReasonerError, make_reasoner
 from .scenarios import grid_triples, list_scenarios, read_manifest, write_manifest
 from .simulate import generate_trace
-from .trace import Query, TraceError, read_trace, validate_trace, write_trace
+from .trace import TraceError, read_trace, validate_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,21 +61,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _explain_once(trace, query_text: str, method: str, registry, reasoner) -> int:
-    query = Query(text=query_text, asked_at=trace.events[-1].ts if trace.events else 0.0)
     try:
-        if method == "hexar":
-            explanation = explain_hexar(query, trace, registry, reasoner)
-        elif method == "end_to_end":
-            explanation = explain_end_to_end(query, trace, reasoner, registry)
-        else:
-            explanation = explain_all_components(query, trace, registry, reasoner)
-    except (SelectionError, ExplainerError, NoMatchError) as exc:
+        explanation = evaluation.answer(method, query_text, trace, registry, reasoner)
+    except ANSWER_ERRORS as exc:
         print(evaluation.FAILURE_REPLY)
-        print(f"(explanation failed: {exc})", file=sys.stderr)
-        return EXIT_EXPLAIN
-    except ReasonerError as exc:
-        print(evaluation.FAILURE_REPLY)
-        print(f"(reasoner failed: {exc})", file=sys.stderr)
+        print(f"(explanation failed: {type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_EXPLAIN
     print(explanation.text)
     print(f"produced_by: {explanation.produced_by}")

@@ -10,12 +10,12 @@ from pathlib import Path
 
 from .baselines import explain_all_components, explain_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
-from .framework import ExplainerError, ExplainerRegistry, SelectionError, explain_hexar
-from .reasoner import ReasonerError, TextReasoner
+from .framework import ANSWER_ERRORS, ExplainerRegistry, explain_hexar
+from .reasoner import TextReasoner
 from .scenarios import CONTRADICTED_FACTS, get_scenario
 from .simulate import generate_trace
 from .stats import cochran_q, holm_adjust, mcnemar
-from .trace import Query, Trace, TraceError
+from .trace import Explanation, Query, Trace
 
 METHODS = ("hexar", "end_to_end", "all_components")
 
@@ -78,13 +78,18 @@ def _sample_id(scenario_id: int, variant: int, query_index: int, method: str) ->
     return f"s{scenario_id:02d}v{variant}q{query_index}_{method}"
 
 
-def _dispatch(
+def answer(
     method: str,
-    query: Query,
+    text: str,
     trace: Trace,
     registry: ExplainerRegistry,
     reasoner: TextReasoner,
-):
+) -> Explanation:
+    """Answer the question ``text``, asked at the end of ``trace``, with ``method``.
+
+    Raises one of ``ANSWER_ERRORS`` when the design expects no answer.
+    """
+    query = Query(text=text, asked_at=trace.events[-1].ts if trace.events else 0.0)
     if method == "hexar":
         return explain_hexar(query, trace, registry, reasoner)
     if method == "end_to_end":
@@ -105,10 +110,9 @@ def run_grid(
     """Explain every (scenario, variant, query) point with every method.
 
     One trace per (scenario, variant) is generated and shared by all
-    methods and queries. A per-sample failure the design expects (a trace,
-    selection, explainer or reasoner error) yields a flagged record with an
-    empty explanation instead of aborting the run; any other exception is a
-    bug and propagates.
+    methods and queries. A per-sample failure the design expects (one of
+    ``ANSWER_ERRORS``) yields a flagged record with an empty explanation
+    instead of aborting the run; any other exception is a bug and propagates.
     """
     registry = registry or build_default_registry()
     for method in methods:
@@ -131,14 +135,10 @@ def run_grid(
         scenario_id, variant, query_index, method = item
         spec = get_scenario(scenario_id)
         trace = traces[(scenario_id, variant)]
-        query = Query(
-            text=spec.queries[query_index - 1],
-            asked_at=trace.events[-1].ts if trace.events else 0.0,
-        )
         sample = _sample_id(scenario_id, variant, query_index, method)
         try:
-            explanation = _dispatch(method, query, trace, registry, reasoner)
-        except (TraceError, SelectionError, ExplainerError, ReasonerError) as exc:
+            explanation = answer(method, spec.queries[query_index - 1], trace, registry, reasoner)
+        except ANSWER_ERRORS as exc:
             return EvalRecord(
                 sample_id=sample,
                 scenario_id=scenario_id,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace as _replace
 from enum import Enum
 from typing import Callable
 
+from ..framework import ExplainerError
 from ..reasoner import ReasonerError, TextReasoner
 from ..trace import ContextVector, Event, Explanation, Query
 
@@ -370,7 +371,10 @@ def explain_help(
         )
 
     model = build_help_model(thresholds)
-    v = extract_variables(events)
+    try:
+        v = extract_variables(events)
+    except (TypeError, ValueError, OverflowError) as exc:  # payload values from the trace file
+        raise ExplainerError(str(exc)) from exc
     outcome = evaluate_model(model, v)
 
     if outcome is not HelpOutcome.SUCCESS:

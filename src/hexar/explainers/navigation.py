@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+from ..framework import ExplainerError
 from ..reasoner import TextReasoner, load_prompt_template
 from ..trace import ContextVector, Event, Explanation, Query
 
@@ -109,11 +110,14 @@ def build_navigation_prompt(
         if e.kind == "log" and e.source == "navigation"
     ]
     filtered = filter_logs(log_lines, rules)
-    params = [
-        f"- {e.payload['name']} = {e.payload['value']}"
-        for e in events
-        if e.kind == "param" and e.payload.get("name") in _RELEVANT_PARAMS
-    ]
+    try:
+        params = [
+            f"- {e.payload['name']} = {e.payload['value']}"
+            for e in events
+            if e.kind == "param" and e.payload.get("name") in _RELEVANT_PARAMS
+        ]
+    except KeyError as exc:
+        raise ExplainerError(f"param event without a {exc} field") from exc
     return load_prompt_template("navigation").format(
         logs="\n".join(filtered) or "(no navigation logs)",
         params="\n".join(params) or "(none)",

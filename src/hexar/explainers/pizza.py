@@ -361,6 +361,8 @@ def explain_pizza(
     if recommended is None:
         raise PizzaExplainError("no recommendation dialogue event in view")
     tree = tree if tree is not None else default_tree()
+    if recommended not in tree.classes:
+        raise PizzaExplainError(f"recommendation {recommended!r} is not a known pizza class")
     attribution = lime_attribute(tree, x, recommended, cfg)
     if attribution.top_present_ingredient is None:
         text = (

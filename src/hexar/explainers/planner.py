@@ -7,25 +7,25 @@ from ..reasoner import TextReasoner, load_prompt_template
 from ..trace import ContextVector, Event, Explanation, Query, TaskPlan
 
 
-def _format_steps(plan: TaskPlan) -> str:
-    if not plan.steps:
-        return "(no steps)"
-    lines = []
+def format_plan(plan: TaskPlan) -> tuple[str, str]:
+    """The plan's step list and its grounding-errors section (empty when none)."""
+    steps = []
     for step in plan.steps:
         params = ", ".join(f"{k}={v}" for k, v in sorted(step.params.items()))
-        lines.append(f"- {step.skill}({params})")
-    return "\n".join(lines)
-
-
-def build_planner_prompt(query: Query, context: ContextVector, plan: TaskPlan) -> str:
+        steps.append(f"- {step.skill}({params})")
     grounding = ""
     if plan.grounding_errors:
         listed = "\n".join(f"- {err}" for err in plan.grounding_errors)
         grounding = f"## Grounding errors\n{listed}\n\n"
+    return "\n".join(steps) or "(no steps)", grounding
+
+
+def build_planner_prompt(query: Query, context: ContextVector, plan: TaskPlan) -> str:
+    plan_steps, grounding = format_plan(plan)
     statuses = "\n".join(f"- {skill}: {status}" for skill, status in context.skills) or "(none)"
     return load_prompt_template("planner").format(
         instruction=plan.instruction,
-        plan_steps=_format_steps(plan),
+        plan_steps=plan_steps,
         grounding_section=grounding,
         skill_statuses=statuses,
         query=query.text,

@@ -3,6 +3,7 @@ mode the skill has, a timeout on overly long utterances. Zero reasoner calls."""
 
 from __future__ import annotations
 
+from ..framework import ExplainerError
 from ..trace import ContextVector, Event, Explanation, Query
 
 TIMEOUT_TEMPLATE = (
@@ -33,7 +34,10 @@ def explain_tts(
     length = 0
     for e in events:
         if e.kind == "dialogue" and "length" in e.payload:
-            length = int(e.payload["length"])
+            try:
+                length = int(e.payload["length"])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ExplainerError(f"malformed utterance length: {e.payload['length']!r}") from exc
     return Explanation(
         text=TIMEOUT_TEMPLATE.format(length=length),
         produced_by="text_to_speech",

@@ -1,4 +1,4 @@
-"""Explainer registry, observation, selection, context and dispatch.
+"""Explainer registry, selection, context and dispatch.
 
 A component explainer subscribes to a subset of robot modules and turns a
 query plus context into a natural-language explanation. The selector picks
@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
-from .reasoner import TextReasoner, load_prompt_template
-from .trace import (
-    ContextVector,
-    Event,
-    Explanation,
-    Query,
-    TaskPlan,
-    Trace,
-    TraceError,
-)
+from .reasoner import ReasonerError, TextReasoner, load_prompt_template
+from .trace import ContextVector, Event, Explanation, Query, Trace, TraceError
 
 
 class SelectionError(RuntimeError):
@@ -31,6 +23,12 @@ class SelectionError(RuntimeError):
 
 class ExplainerError(RuntimeError):
     """A component explainer could not produce an answer."""
+
+
+# Failures the design expects on the answer path: a malformed trace or answer,
+# no valid explainer choice, an explainer without an answer, a reasoner
+# refusal or outage. Any other exception is a bug and propagates.
+ANSWER_ERRORS = (TraceError, SelectionError, ExplainerError, ReasonerError)
 
 
 class ExplainFn(Protocol):
@@ -93,63 +91,30 @@ class SelectorStage(str, Enum):
 
 @dataclass(frozen=True)
 class SelectorDecision:
-    chosen: tuple[str, ...]
+    chosen: str
     stage: SelectorStage
     context: ContextVector
     classifier_calls: int = 0
     classifier_latency: float = 0.0
 
 
-class ObservationStore:
-    """Per-explainer event views over one trace.
-
-    Each explainer sees exactly the events whose source it subscribes to;
-    the selector sees the plan and skill-status events.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-
-    def view(
-        self, sources: frozenset[str] | set[str], window: tuple[float, float] | None = None
-    ) -> tuple[Event, ...]:
-        events = self.trace.by_source(frozenset(sources))
-        if window is not None:
-            start, end = window
-            events = tuple(e for e in events if start <= e.ts <= end)
-        return events
-
-    def selector_view(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.trace.events if e.kind in ("plan", "skill_status"))
-
-    def all_events(self) -> tuple[Event, ...]:
-        return self.trace.events
-
-    def plan(self) -> TaskPlan:
-        return self.trace.plan
-
-
-def observe(trace: Trace) -> ObservationStore:
-    return ObservationStore(trace)
-
-
-def build_context(query: Query, store: ObservationStore) -> ContextVector:
+def build_context(query: Query, trace: Trace) -> ContextVector:
     """Task, per-skill latest statuses, plan validity and the time window."""
-    plan = store.plan()  # raises TraceError when the plan event is missing
+    plan = trace.plan  # raises TraceError when the plan event is missing
     latest: dict[str, str] = {}
-    for event in store.selector_view():
+    for event in trace.events:
         if event.kind == "skill_status":
             latest[str(event.payload["skill"])] = str(event.payload["status"])
     skills = tuple((step.skill, latest.get(step.skill, "waiting")) for step in plan.steps)
-    events = store.all_events()
+    events = trace.events
     start = events[0].ts if events else 0.0
     end = min(events[-1].ts, query.asked_at) if events else query.asked_at
     end = max(start, end)
     return ContextVector(task=plan.instruction, skills=skills, plan_valid=plan.valid, window=(start, end))
 
 
-def _earliest_failure(store: ObservationStore) -> str | None:
-    for event in store.selector_view():
+def _earliest_failure(trace: Trace) -> str | None:
+    for event in trace.events:
         if event.kind == "skill_status" and event.payload.get("status") == "failed":
             return str(event.payload["skill"])
     return None
@@ -164,7 +129,7 @@ def build_classifier_prompt(query: Query, registry: ExplainerRegistry) -> str:
 
 def select(
     query: Query,
-    store: ObservationStore,
+    trace: Trace,
     registry: ExplainerRegistry,
     reasoner: TextReasoner,
 ) -> SelectorDecision:
@@ -175,14 +140,14 @@ def select(
     Stage 2: the query text is classified by the reasoner. An unknown
     classifier answer is an error, never a silent default.
     """
-    context = build_context(query, store)
+    context = build_context(query, trace)
     if not context.plan_valid:
         chosen = registry.explainer_for_module("planner")
-        return SelectorDecision((chosen,), SelectorStage.FAILURE_HEURISTIC, context)
-    failed_skill = _earliest_failure(store)
+        return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)
+    failed_skill = _earliest_failure(trace)
     if failed_skill is not None:
         chosen = registry.explainer_for_module(failed_skill)
-        return SelectorDecision((chosen,), SelectorStage.FAILURE_HEURISTIC, context)
+        return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)
 
     response = reasoner.complete_text(
         system_prompt="You route user questions to robot component explainers.",
@@ -193,7 +158,7 @@ def select(
     if answer not in registry.explainers:
         raise SelectionError(f"classifier returned unknown explainer id {answer!r}")
     return SelectorDecision(
-        (answer,),
+        answer,
         SelectorStage.QUERY_CLASSIFIER,
         context,
         classifier_calls=1,
@@ -233,18 +198,16 @@ def explain_hexar(
     registry: ExplainerRegistry,
     reasoner: TextReasoner,
 ) -> Explanation:
-    """Full pipeline: observe, select one explainer, build context, dispatch."""
+    """Full pipeline: select one explainer, build context, dispatch."""
     start = time.perf_counter()
-    store = observe(trace)
-    decision = select(query, store, registry, reasoner)
-    explainer_id = decision.chosen[0]
-    explainer = registry.explainers[explainer_id]
-    events = store.view(explainer.subscribed_sources, window=decision.context.window)
+    decision = select(query, trace, registry, reasoner)
+    explainer = registry.explainers[decision.chosen]
+    events = trace.by_source(explainer.subscribed_sources, window=decision.context.window)
     explanation = explainer.explain_fn(query, decision.context, events, reasoner)
     elapsed = time.perf_counter() - start
     return Explanation(
         text=explanation.text,
-        produced_by=explainer_id,
+        produced_by=decision.chosen,
         reasoner_calls=explanation.reasoner_calls + decision.classifier_calls,
         wall_time=elapsed + explanation.wall_time + decision.classifier_latency,
     )

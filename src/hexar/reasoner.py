@@ -15,6 +15,7 @@ import json
 import os
 import re
 import time
+import urllib.parse
 from dataclasses import dataclass
 from importlib import resources
 
@@ -240,7 +241,7 @@ class RemoteReasoner(TextReasoner):
 
     Endpoint and model come from ``HEXAR_REASONER_URL`` /
     ``HEXAR_REASONER_MODEL`` unless given explicitly. The request
-    temperature is forwarded unchanged.
+    temperature is forwarded unchanged. Uses the standard library only.
     """
 
     def __init__(
@@ -256,14 +257,16 @@ class RemoteReasoner(TextReasoner):
             raise RemoteReasonerError(
                 "no endpoint configured; set HEXAR_REASONER_URL or pass url="
             )
-        import requests
-
-        self._session = requests.Session()
+        if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
+            raise RemoteReasonerError(f"endpoint must be an http(s) URL: {self.url!r}")
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         if not request.system_prompt or not request.user_prompt:
             raise ReasonerError("prompts must be non-empty")
-        import requests
+        # imported here, not at module level: they load ssl and email, which
+        # every process that never calls a remote endpoint would pay for
+        import http.client
+        import urllib.request
 
         body = {
             "model": self.model,
@@ -274,21 +277,25 @@ class RemoteReasoner(TextReasoner):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        http_request = urllib.request.Request(
+            self.url,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
         start = time.perf_counter()
         try:
-            response = self._session.post(self.url, json=body, timeout=self.timeout)
-            response.raise_for_status()
-            payload = response.json()
+            # urlopen raises HTTPError (an OSError) on a 4xx/5xx status
+            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
+                payload = json.loads(response.read())
             text = payload["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
+            usage = payload.get("usage")
+            tokens = int(usage.get("total_tokens", 0)) if isinstance(usage, dict) else 0
+        except (OSError, http.client.HTTPException) as exc:
             raise RemoteReasonerError(f"chat-completion request failed: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise RemoteReasonerError(f"malformed chat-completion response: {exc}") from exc
         elapsed = time.perf_counter() - start
-        tokens = 0
-        usage = payload.get("usage")
-        if isinstance(usage, dict):
-            tokens = int(usage.get("total_tokens", 0))
         if not tokens:
             tokens = len(str(text).split())
         return ReasonerResponse(text=str(text), latency=elapsed, token_count=tokens)

@@ -81,8 +81,16 @@ class Trace:
                 )
             last = event.ts
 
-    def by_source(self, sources: frozenset[str] | set[str]) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.source in sources)
+    def by_source(
+        self,
+        sources: frozenset[str] | set[str],
+        window: tuple[float, float] | None = None,
+    ) -> tuple[Event, ...]:
+        """Events from ``sources``, optionally only those with ``start <= ts <= end``."""
+        if window is None:
+            return tuple(e for e in self.events if e.source in sources)
+        start, end = window
+        return tuple(e for e in self.events if e.source in sources and start <= e.ts <= end)
 
     @property
     def plan_event(self) -> Event:

@@ -3,19 +3,23 @@ from __future__ import annotations
 import threading
 from collections import Counter
 
+import pytest
+
 from hexar.baselines import (
     build_end_to_end_prompt,
     end_to_end_view,
     explain_all_components,
     explain_end_to_end,
 )
+from hexar.evaluation import run_grid
+from hexar.explainers import build_default_registry
 from hexar.explainers.navigation import build_navigation_prompt
 from hexar.framework import (
     ComponentExplainer,
+    ExplainerError,
     ExplainerRegistry,
     build_context,
     explain_hexar,
-    observe,
 )
 from hexar.reasoner import ReasonerRequest, ReasonerResponse, TextReasoner
 from hexar.trace import Explanation, Query
@@ -57,10 +61,9 @@ def test_end_to_end_prompt_is_longer_than_navigation_prompt(registry, trace_cach
     trace = trace_cache(9)
     query = _query(trace)
     e2e = build_end_to_end_prompt(query, trace, registry)
-    store = observe(trace)
-    context = build_context(query, store)
+    context = build_context(query, trace)
     nav_prompt = build_navigation_prompt(
-        query, store.view(frozenset({"navigation", "system"}), window=context.window)
+        query, trace.by_source(frozenset({"navigation", "system"}), window=context.window)
     )
     assert len(e2e) > len(nav_prompt)
 
@@ -72,10 +75,9 @@ def _event_key(event):
 def test_information_parity_with_union_of_views(registry, trace_cache):
     for scenario_id in (7, 13, 20):
         trace = trace_cache(scenario_id)
-        store = observe(trace)
         union = set()
         for explainer in registry.explainers.values():
-            union.update(_event_key(e) for e in store.view(explainer.subscribed_sources))
+            union.update(_event_key(e) for e in trace.by_source(explainer.subscribed_sources))
         reachable = Counter(_event_key(e) for e in end_to_end_view(trace, registry))
         assert reachable == Counter(sorted(union))
 
@@ -159,3 +161,44 @@ def test_all_components_runs_explainers_in_the_calling_thread(rule_reasoner, tra
     assert threading.active_count() == threads_before
     assert seen == [(i, threading.get_ident()) for i in ("first", "second", "third")]
     assert result.produced_by == "first+second+third+aggregator"
+
+
+def _registry_with_tts(explain_fn) -> ExplainerRegistry:
+    """The default registry, with the text_to_speech explainer replaced."""
+    registry = ExplainerRegistry()
+    for explainer_id, explainer in build_default_registry().explainers.items():
+        if explainer_id == "text_to_speech":
+            explainer = ComponentExplainer(
+                id=explainer.id,
+                subscribed_sources=explainer.subscribed_sources,
+                explain_fn=explain_fn,
+                capability=explainer.capability,
+            )
+        registry.register(explainer, [explainer_id])
+    return registry
+
+
+def test_all_components_lets_explainer_bugs_propagate(rule_reasoner, trace_cache):
+    def buggy(query, context, events, reasoner):
+        return 1 / 0
+
+    registry = _registry_with_tts(buggy)
+    trace = trace_cache(20)
+    with pytest.raises(ZeroDivisionError):
+        explain_all_components(_query(trace), trace, registry, rule_reasoner)
+    with pytest.raises(ZeroDivisionError):
+        run_grid(["all_components"], [(20, 1, 1)], rule_reasoner, seed=0, registry=registry)
+
+
+def test_all_components_degrades_expected_explainer_errors(rule_reasoner, trace_cache):
+    def refusing(query, context, events, reasoner):
+        raise ExplainerError("no speech events")
+
+    registry = _registry_with_tts(refusing)
+    trace = trace_cache(20)
+    result = explain_all_components(_query(trace), trace, registry, rule_reasoner)
+    assert "[text_to_speech explainer produced no answer: no speech events]" in result.text
+    records = run_grid(["all_components"], [(20, 1, 1)], rule_reasoner, seed=0, registry=registry)
+    assert "[text_to_speech explainer produced no answer: no speech events]" in (
+        records[0].explanation_text
+    )

@@ -5,7 +5,10 @@ import io
 
 import pytest
 
+from hexar import cli
 from hexar.cli import main
+from hexar.evaluation import FAILURE_REPLY
+from hexar.reasoner import ReasonerResponse, TextReasoner
 from hexar.trace import read_trace
 
 
@@ -139,6 +142,76 @@ def test_explain_misselection_fails_with_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "I do not have enough information to answer this question." in out
+
+
+# Traces whose payloads a component explainer cannot read: (scenario,
+# recorded text, edited text, a query that selects that explainer).
+MALFORMED_PAYLOADS = {
+    "help_response": (16, '"response": "agree"', '"response": "maybe"', "Why?"),
+    "help_null_distance": (16, '"human.0.distance": 1.989746', '"human.0.distance": null', "Why?"),
+    "pizza_class": (
+        20,
+        '"recommended": "margherita"',
+        '"recommended": "sushi"',
+        "Why did you pick that pizza?",
+    ),
+    "tts_length": (19, '"length": 214', '"length": "long"', "Why?"),
+    "navigation_param": (
+        7,
+        '"name": "charger_connected", "value": true',
+        '"name": "charger_connected"',
+        "Why?",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_PAYLOADS))
+def malformed_trace(request, tmp_path, capsys):
+    scenario_id, recorded, edited, query = MALFORMED_PAYLOADS[request.param]
+    path = tmp_path / f"s{scenario_id}.jsonl"
+    main(["simulate", "--scenario", str(scenario_id), "--task", "1", "--seed", "0", "--out", str(path)])
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    assert text.count(recorded) == 1
+    path.write_text(text.replace(recorded, edited), encoding="utf-8")
+    return path, query
+
+
+def test_explain_malformed_payload_fails_with_exit_3(malformed_trace, capsys):
+    path, query = malformed_trace
+    code, out, err = run(["explain", "--trace", str(path), "--query", query], capsys)
+    assert code == 3
+    assert out.strip() == FAILURE_REPLY
+    assert err.startswith("(explanation failed: ")
+    assert "Error: " in err
+    assert "Traceback" not in err
+
+
+def test_all_components_notes_a_malformed_payload(malformed_trace, capsys):
+    path, query = malformed_trace
+    code, out, err = run(
+        ["explain", "--trace", str(path), "--query", query, "--method", "all-components"], capsys
+    )
+    assert code == 0
+    assert "explainer produced no answer: " in out
+    assert "Traceback" not in err
+
+
+class EmptyTextReasoner(TextReasoner):
+    def complete(self, request):
+        return ReasonerResponse(text="")
+
+
+@pytest.mark.parametrize("method", ["hexar", "end-to-end", "all-components"])
+def test_explain_empty_reasoner_text_fails_with_exit_3(charger_trace, capsys, monkeypatch, method):
+    monkeypatch.setattr(cli, "make_reasoner", lambda kind: EmptyTextReasoner())
+    code, out, err = run(
+        ["explain", "--trace", str(charger_trace), "--query", "Why?", "--method", method], capsys
+    )
+    assert code == 3
+    assert out.strip() == FAILURE_REPLY
+    assert "TraceError: explanation text must be non-empty" in err
+    assert "Traceback" not in err
 
 
 def test_explain_missing_trace_is_usage_error(tmp_path, capsys):

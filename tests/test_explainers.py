@@ -12,12 +12,12 @@ from hexar.explainers.navigation import (
 )
 from hexar.explainers.planner import build_planner_prompt, explain_planner
 from hexar.explainers.tts import NO_PROBLEM_TEMPLATE, explain_tts
-from hexar.framework import build_context, observe
+from hexar.framework import build_context
 from hexar.trace import Query, TaskPlan
 
 
 def _context(trace, query):
-    return build_context(query, observe(trace))
+    return build_context(query, trace)
 
 
 def _events(trace, sources):

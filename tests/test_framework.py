@@ -12,7 +12,6 @@ from hexar.framework import (
     aggregate,
     build_context,
     explain_hexar,
-    observe,
     select,
 )
 from hexar.reasoner import ReasonerResponse, TextReasoner
@@ -33,21 +32,12 @@ def _query(trace, text="What happened?"):
     return Query(text=text, asked_at=trace.events[-1].ts)
 
 
-# -- observation -----------------------------------------------------------------
+# -- per-explainer views ---------------------------------------------------------
 
 
 def test_view_filters_by_subscribed_sources(trace_cache):
-    store = observe(trace_cache(7))
-    nav_only = store.view({"navigation"})
+    nav_only = trace_cache(7).by_source({"navigation"})
     assert nav_only and all(e.source == "navigation" for e in nav_only)
-
-
-def test_selector_view_contains_the_plan(trace_cache):
-    for scenario_id in (1, 7, 20):
-        store = observe(trace_cache(scenario_id))
-        kinds = {e.kind for e in store.selector_view()}
-        assert "plan" in kinds
-        assert kinds <= {"plan", "skill_status"}
 
 
 def _event_key(event: Event):
@@ -57,11 +47,10 @@ def _event_key(event: Event):
 def test_union_of_default_views_covers_every_event(registry, trace_cache):
     for scenario_id in (7, 13, 19, 20):
         trace = trace_cache(scenario_id)
-        store = observe(trace)
         union = Counter()
         for explainer in registry.explainers.values():
             for source in explainer.subscribed_sources:
-                union.update(_event_key(e) for e in store.view({source}))
+                union.update(_event_key(e) for e in trace.by_source({source}))
         # sources overlap only if two explainers subscribe the same module;
         # compare the deduplicated support against the full event multiset
         deduped = Counter(set(union))
@@ -70,9 +59,8 @@ def test_union_of_default_views_covers_every_event(registry, trace_cache):
 
 def test_view_window_filters_by_timestamp(trace_cache):
     trace = trace_cache(7)
-    store = observe(trace)
-    all_nav = store.view({"navigation", "system"})
-    clipped = store.view({"navigation", "system"}, window=(0.0, all_nav[0].ts))
+    all_nav = trace.by_source({"navigation", "system"})
+    clipped = trace.by_source({"navigation", "system"}, window=(0.0, all_nav[0].ts))
     assert clipped == (all_nav[0],)
 
 
@@ -81,7 +69,7 @@ def test_view_window_filters_by_timestamp(trace_cache):
 
 def test_build_context_execution_failure(trace_cache):
     trace = trace_cache(7)
-    context = build_context(_query(trace), observe(trace))
+    context = build_context(_query(trace), trace)
     assert context.plan_valid is True
     statuses = dict(context.skills)
     assert statuses["navigation"] == "failed"
@@ -89,13 +77,13 @@ def test_build_context_execution_failure(trace_cache):
 
 def test_build_context_invalid_plan(trace_cache):
     trace = trace_cache(2)
-    context = build_context(_query(trace), observe(trace))
+    context = build_context(_query(trace), trace)
     assert context.plan_valid is False
 
 
 def test_build_context_all_succeeded(trace_cache):
     trace = trace_cache(3)
-    context = build_context(_query(trace), observe(trace))
+    context = build_context(_query(trace), trace)
     assert all(status == "succeeded" for _, status in context.skills)
     assert [skill for skill, _ in context.skills] == ["navigation", "text_to_speech"]
 
@@ -103,7 +91,7 @@ def test_build_context_all_succeeded(trace_cache):
 def test_build_context_window_clips_to_query_time(trace_cache):
     trace = trace_cache(3)
     query = Query(text="Why?", asked_at=trace.events[3].ts)
-    context = build_context(query, observe(trace))
+    context = build_context(query, trace)
     assert context.window == (trace.events[0].ts, trace.events[3].ts)
 
 
@@ -115,7 +103,7 @@ def test_build_context_requires_plan():
         events=(Event(ts=0.0, source="system", kind="log", payload={"text": "x"}),),
     )
     with pytest.raises(TraceError):
-        build_context(Query("Why?", 1.0), observe(trace))
+        build_context(Query("Why?", 1.0), trace)
 
 
 def test_plan_is_parsed_once_per_trace(monkeypatch, registry):
@@ -131,8 +119,8 @@ def test_plan_is_parsed_once_per_trace(monkeypatch, registry):
     monkeypatch.setattr(TaskPlan, "from_payload", counting)
     trace = generate_trace(7, 1, 0)  # not the session cache: its plans may be parsed already
     query = _query(trace)
-    first = build_context(query, observe(trace))
-    assert build_context(query, observe(trace)) == first
+    first = build_context(query, trace)
+    assert build_context(query, trace) == first
     build_end_to_end_prompt(query, trace, registry)
     assert len(calls) == 1
 
@@ -142,24 +130,24 @@ def test_plan_is_parsed_once_per_trace(monkeypatch, registry):
 
 def test_failed_skill_selects_its_explainer(registry, rule_reasoner, trace_cache):
     trace = trace_cache(7)
-    decision = select(_query(trace, "anything at all??"), observe(trace), registry, rule_reasoner)
-    assert decision.chosen == ("navigation",)
+    decision = select(_query(trace, "anything at all??"), trace, registry, rule_reasoner)
+    assert decision.chosen == "navigation"
     assert decision.stage is SelectorStage.FAILURE_HEURISTIC
 
 
 def test_invalid_plan_selects_planner(registry, rule_reasoner, trace_cache):
     trace = trace_cache(1)
-    decision = select(_query(trace), observe(trace), registry, rule_reasoner)
-    assert decision.chosen == ("planner",)
+    decision = select(_query(trace), trace, registry, rule_reasoner)
+    assert decision.chosen == "planner"
     assert decision.stage is SelectorStage.FAILURE_HEURISTIC
 
 
 def test_successful_run_classifies_by_query(registry, rule_reasoner, trace_cache):
     trace = trace_cache(20)
     decision = select(
-        _query(trace, "Why did you pick that pizza?"), observe(trace), registry, rule_reasoner
+        _query(trace, "Why did you pick that pizza?"), trace, registry, rule_reasoner
     )
-    assert decision.chosen == ("pizza_recommender",)
+    assert decision.chosen == "pizza_recommender"
     assert decision.stage is SelectorStage.QUERY_CLASSIFIER
     assert decision.classifier_calls == 1
 
@@ -167,7 +155,7 @@ def test_successful_run_classifies_by_query(registry, rule_reasoner, trace_cache
 def test_unknown_classifier_answer_is_an_error(registry, trace_cache):
     trace = trace_cache(20)
     with pytest.raises(SelectionError):
-        select(_query(trace), observe(trace), registry, StubReasoner("holodeck"))
+        select(_query(trace), trace, registry, StubReasoner("holodeck"))
 
 
 def test_failure_heuristic_dominates_query_text(registry, rule_reasoner, trace_cache):
@@ -175,7 +163,7 @@ def test_failure_heuristic_dominates_query_text(registry, rule_reasoner, trace_c
         trace = trace_cache(scenario_id)
         decision = select(
             _query(trace, "Why did you pick that pizza?"),
-            observe(trace),
+            trace,
             registry,
             rule_reasoner,
         )
@@ -200,8 +188,8 @@ def test_earliest_failed_skill_wins():
     trace = Trace(scenario_id=1, task_variant=1, seed=0, events=events)
     from hexar.explainers import build_default_registry
 
-    decision = select(Query("Why?", 2.0), observe(trace), build_default_registry(), StubReasoner("x"))
-    assert decision.chosen == ("text_to_speech",)
+    decision = select(Query("Why?", 2.0), trace, build_default_registry(), StubReasoner("x"))
+    assert decision.chosen == "text_to_speech"
 
 
 def test_selector_totality_over_grid(registry, rule_reasoner, specs_by_id, trace_cache):
@@ -211,8 +199,8 @@ def test_selector_totality_over_grid(registry, rule_reasoner, specs_by_id, trace
             text=specs_by_id[scenario_id].queries[query_index - 1],
             asked_at=trace.events[-1].ts,
         )
-        decision = select(query, observe(trace), registry, rule_reasoner)
-        assert len(decision.chosen) == 1
+        decision = select(query, trace, registry, rule_reasoner)
+        assert decision.chosen in registry.explainers
 
 
 # -- registry ---------------------------------------------------------------------

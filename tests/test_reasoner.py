@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import re
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -268,3 +270,24 @@ def test_remote_reasoner_requires_configuration(monkeypatch):
     monkeypatch.delenv("HEXAR_REASONER_URL", raising=False)
     with pytest.raises(RemoteReasonerError):
         RemoteReasoner()
+
+
+def test_remote_reasoner_needs_no_third_party_http_client(chat_server, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # any import of it now fails
+    reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
+    assert reasoner.complete_text("sys", "user").text == "remote says hi"
+
+
+def test_remote_reasoner_maps_a_refused_connection():
+    with socket.socket() as sock:  # a local port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    reasoner = RemoteReasoner(url=f"http://127.0.0.1:{port}/v1/chat/completions", timeout=5.0)
+    with pytest.raises(RemoteReasonerError):
+        reasoner.complete_text("sys", "user")
+
+
+@pytest.mark.parametrize("url", ["not-a-url", "ftp://127.0.0.1/chat", "file:///chat"])
+def test_remote_reasoner_rejects_a_non_http_url(url):
+    with pytest.raises(RemoteReasonerError):
+        RemoteReasoner(url=url)
