@@ -8,25 +8,18 @@ explainers each contribute.
 
 from __future__ import annotations
 
-import time
-
 from .explainers.navigation import LogFilterRules, filter_logs, situation_catalogue
 from .explainers.planner import format_plan
-from .framework import ANSWER_ERRORS, ExplainerRegistry, aggregate, build_context
-from .reasoner import ReasonerRequest, ReasonerResponse, TextReasoner, load_prompt_template
+from .framework import (
+    ANSWER_ERRORS,
+    ExplainerRegistry,
+    ReasonerMeter,
+    aggregate,
+    build_context,
+    run_explainer,
+)
+from .reasoner import TextReasoner, load_prompt_template
 from .trace import Event, Explanation, Query, Trace
-
-
-class _CountingReasoner(TextReasoner):
-    """Counts completion attempts so failed explainer calls are still billed."""
-
-    def __init__(self, inner: TextReasoner) -> None:
-        self.inner = inner
-        self.calls = 0
-
-    def complete(self, request: ReasonerRequest) -> ReasonerResponse:
-        self.calls += 1
-        return self.inner.complete(request)
 
 
 def end_to_end_view(trace: Trace, registry: ExplainerRegistry) -> tuple[Event, ...]:
@@ -94,19 +87,13 @@ def explain_end_to_end(
     registry: ExplainerRegistry,
 ) -> Explanation:
     """Single reasoner call over one prompt holding all recorded information."""
-    start = time.perf_counter()
+    meter = ReasonerMeter(reasoner)
     prompt = build_end_to_end_prompt(query, trace, registry)
-    response = reasoner.complete_text(
+    response = meter.complete_text(
         system_prompt="You explain a robot's behaviour from its full recording.",
         user_prompt=prompt,
     )
-    elapsed = time.perf_counter() - start
-    return Explanation(
-        text=response.text,
-        produced_by="end_to_end",
-        reasoner_calls=1,
-        wall_time=elapsed + response.latency,
-    )
+    return meter.explanation(response.text, "end_to_end")
 
 
 def explain_all_components(
@@ -118,35 +105,21 @@ def explain_all_components(
     """Run every component explainer, then merge with one aggregation call.
 
     Explainers run one after another in the calling thread, in registry
-    order, so the output is deterministic and the modelled ``wall_time`` (the
-    sum of every reasoner latency) matches how the calls were made. An
-    expected explainer failure (one of ``ANSWER_ERRORS``) degrades to a note
-    in the aggregation input rather than aborting the baseline; a bug
-    propagates.
+    order, so the output is deterministic. The answer is billed with every
+    reasoner call made, also those of explainers that failed. An expected
+    explainer failure (one of ``ANSWER_ERRORS``) degrades to a note in the
+    aggregation input rather than aborting the baseline; a bug propagates.
     """
-    start = time.perf_counter()
+    meter = ReasonerMeter(reasoner)
     context = build_context(query, trace)
 
-    def run_one(explainer_id: str) -> Explanation:
-        explainer = registry.explainers[explainer_id]
-        events = trace.by_source(explainer.subscribed_sources, window=context.window)
-        counter = _CountingReasoner(reasoner)
+    def run_one(explainer_id: str) -> str:
         try:
-            return explainer.explain_fn(query, context, events, counter)
+            return run_explainer(registry.explainers[explainer_id], query, context, trace, meter)
         except ANSWER_ERRORS as exc:  # degraded, never fatal for the sweep
-            return Explanation(
-                text=f"[{explainer_id} explainer produced no answer: {exc}]",
-                produced_by=explainer_id,
-                reasoner_calls=counter.calls,
-            )
+            return f"[{explainer_id} explainer produced no answer: {exc}]"
 
-    explanations = [run_one(explainer_id) for explainer_id in registry.ids()]
-    merged = aggregate(explanations, query, reasoner)
-    elapsed = time.perf_counter() - start
-    # merged.wall_time already sums the per-explainer virtual latencies
-    return Explanation(
-        text=merged.text,
-        produced_by=merged.produced_by,
-        reasoner_calls=merged.reasoner_calls,
-        wall_time=elapsed + merged.wall_time,
-    )
+    ids = registry.ids()
+    text = aggregate([run_one(explainer_id) for explainer_id in ids], query, meter)
+    produced_by = "+".join(ids + ["aggregator"]) if len(ids) > 1 else ids[0]
+    return meter.explanation(text, produced_by)

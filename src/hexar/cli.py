@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage or input error, 3 explanation failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -198,7 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): point stdout at devnull so the
+        # flush at exit cannot fail again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    return status
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .baselines import explain_all_components, explain_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
 from .framework import ANSWER_ERRORS, ExplainerRegistry, explain_hexar
 from .reasoner import TextReasoner
-from .scenarios import CONTRADICTED_FACTS, get_scenario
+from .scenarios import CONTRADICTED_FACTS, get_scenario, read_csv_rows
 from .simulate import generate_trace
 from .stats import cochran_q, holm_adjust, mcnemar
 from .trace import Explanation, Query, Trace
@@ -350,54 +350,47 @@ def write_results_csv(records: list[EvalRecord], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[EvalRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _RESULTS_COLUMNS:
-            raise ValueError(f"bad results columns: {reader.fieldnames}")
-        records = []
-        for row in reader:
-            records.append(
-                EvalRecord(
-                    sample_id=row["sample_id"],
-                    scenario_id=int(row["scenario_id"]),
-                    task_variant=int(row["task_variant"]),
-                    query_index=int(row["query_index"]),
-                    method=row["method"],
-                    explanation_text=row["explanation_text"],
-                    produced_by=row["produced_by"],
-                    reasoner_calls=int(row["reasoner_calls"]),
-                    wall_time=float(row["wall_time"]),
-                    selected_ok=None if row["selected_ok"] == "" else bool(int(row["selected_ok"])),
-                )
-            )
+    records = [
+        EvalRecord(
+            sample_id=row["sample_id"],
+            scenario_id=int(row["scenario_id"]),
+            task_variant=int(row["task_variant"]),
+            query_index=int(row["query_index"]),
+            method=row["method"],
+            explanation_text=row["explanation_text"],
+            produced_by=row["produced_by"],
+            reasoner_calls=int(row["reasoner_calls"]),
+            wall_time=float(row["wall_time"]),
+            selected_ok=None if row["selected_ok"] == "" else bool(int(row["selected_ok"])),
+        )
+        for row in read_csv_rows(path, _RESULTS_COLUMNS, "results")
+    ]
     if not records:
         raise ValueError("empty results file")
     return records
 
 
+_ANNOTATION_COLUMNS = ["sample_id", "annotator_id", "root_cause", "incorrect_facts"]
+
+
 def write_annotations_csv(rows: list[AnnotationRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "annotator_id", "root_cause", "incorrect_facts"])
+        writer.writerow(_ANNOTATION_COLUMNS)
         for row in sorted(rows, key=lambda r: (r.sample_id, r.annotator_id)):
             writer.writerow([row.sample_id, row.annotator_id, row.root_cause, row.incorrect_facts])
 
 
 def read_annotations_csv(path: str | Path) -> list[AnnotationRow]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["sample_id", "annotator_id", "root_cause", "incorrect_facts"]
-        if reader.fieldnames != expected:
-            raise ValueError(f"bad annotation columns: {reader.fieldnames}")
-        return [
-            AnnotationRow(
-                sample_id=row["sample_id"],
-                annotator_id=int(row["annotator_id"]),
-                root_cause=int(row["root_cause"]),
-                incorrect_facts=int(row["incorrect_facts"]),
-            )
-            for row in reader
-        ]
+    return [
+        AnnotationRow(
+            sample_id=row["sample_id"],
+            annotator_id=int(row["annotator_id"]),
+            root_cause=int(row["root_cause"]),
+            incorrect_facts=int(row["incorrect_facts"]),
+        )
+        for row in read_csv_rows(path, _ANNOTATION_COLUMNS, "annotation")
+    ]
 
 
 # -- report rendering -------------------------------------------------------

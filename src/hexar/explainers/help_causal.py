@@ -9,13 +9,13 @@ one" with minimal single-variable interventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
 from ..framework import ExplainerError
 from ..reasoner import ReasonerError, TextReasoner
-from ..trace import ContextVector, Event, Explanation, Query
+from ..trace import ContextVector, Event, Query
 
 # Detections closer together than this belong to one contiguous run.
 DETECTION_GAP = 0.5
@@ -74,9 +74,6 @@ class HelpVariables:
         for value in numeric:
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"help variables must be finite and non-negative: {value}")
-
-    def replace(self, **changes) -> "HelpVariables":
-        return _replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -292,14 +289,14 @@ def counterfactual(
         # Make an earlier (currently passing) gate fail.
         gate = model.gates[desired_idx]
         observed = getattr(v, gate.variable)
-        intervened = v.replace(**{gate.variable: gate.failing_value})
+        intervened = replace(v, **{gate.variable: gate.failing_value})
         resulting = evaluate_model(model, intervened)
         return CounterfactualResult(realized, gate.variable, observed, gate.failing_value, resulting)
 
     gate = model.gates[realized_idx]
     observed = getattr(v, gate.variable)
     boundary = gate.passing_value(v, model.thresholds)
-    intervened = v.replace(**{gate.variable: boundary})
+    intervened = replace(v, **{gate.variable: boundary})
     resulting = evaluate_model(model, intervened)
     if desired is not HelpOutcome.SUCCESS and resulting is not desired:
         failing = [
@@ -362,13 +359,10 @@ def explain_help(
     events: tuple[Event, ...],
     reasoner: TextReasoner,
     thresholds: HelpThresholds = HelpThresholds(),
-) -> Explanation:
+) -> str:
     """Counterfactual explanation on failure, templated answer otherwise."""
     if not any(e.source == "ask_human_for_help" for e in events):
-        return Explanation(
-            text="The ask-human-for-help skill was not used in this task.",
-            produced_by="ask_human_for_help",
-        )
+        return "The ask-human-for-help skill was not used in this task."
 
     model = build_help_model(thresholds)
     try:
@@ -382,43 +376,28 @@ def explain_help(
         sentence = render_counterfactual(result)
         prompt = _naturalise_prompt(sentence, v, thresholds)
         try:
-            response = reasoner.complete_text(
+            return reasoner.complete_text(
                 system_prompt="You turn structured robot findings into plain language.",
                 user_prompt=prompt,
-            )
+            ).text
         except ReasonerError:
             # the raw counterfactual sentence still answers the question
-            return Explanation(
-                text=f"{sentence} [counterfactual template; naturalisation unavailable]",
-                produced_by="ask_human_for_help",
-                reasoner_calls=1,
-            )
-        return Explanation(
-            text=response.text,
-            produced_by="ask_human_for_help",
-            reasoner_calls=1,
-            wall_time=response.latency,
-        )
+            return f"{sentence} [counterfactual template; naturalisation unavailable]"
 
     if v.detection_variance > thresholds.var_max:
-        text = (
+        return (
             "I completed the task, but I may have approached the person poorly "
             "due to high variance in the person's detection "
             f"({v.detection_variance:.2f} m² against a tolerance of {thresholds.var_max:.2f} m²)."
         )
-        return Explanation(text=text, produced_by="ask_human_for_help")
     replans = _approach_replans(events)
     if replans > 0:
         times = "once" if replans == 1 else f"{replans} times"
-        text = (
+        return (
             "I completed the task, but I may have approached the person poorly: "
             f"my approach path was replanned around obstacles {times} during the approach."
         )
-        return Explanation(text=text, produced_by="ask_human_for_help")
-    return Explanation(
-        text=(
-            "I asked a person for help and they assisted me; "
-            "the ask-human-for-help skill completed normally."
-        ),
-        produced_by="ask_human_for_help",
+    return (
+        "I asked a person for help and they assisted me; "
+        "the ask-human-for-help skill completed normally."
     )

@@ -15,7 +15,7 @@ from importlib import resources
 
 from ..framework import ExplainerError
 from ..reasoner import TextReasoner, load_prompt_template
-from ..trace import ContextVector, Event, Explanation, Query
+from ..trace import ContextVector, Event, Query
 
 _RELEVANT_PARAMS = (
     "charger_connected",
@@ -132,14 +132,8 @@ def explain_navigation(
     events: tuple[Event, ...],
     reasoner: TextReasoner,
     rules: LogFilterRules = LogFilterRules(),
-) -> Explanation:
-    response = reasoner.complete_text(
+) -> str:
+    return reasoner.complete_text(
         system_prompt="You explain robot navigation behaviour.",
         user_prompt=build_navigation_prompt(query, events, rules),
-    )
-    return Explanation(
-        text=response.text,
-        produced_by="navigation",
-        reasoner_calls=1,
-        wall_time=response.latency,
-    )
+    ).text

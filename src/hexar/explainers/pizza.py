@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from ..framework import ExplainerError
-from ..trace import ContextVector, Event, Explanation, Query
+from ..trace import ContextVector, Event, Query
 
 INGREDIENTS = (
     "tomato",
@@ -349,7 +349,7 @@ def explain_pizza(
     reasoner=None,
     tree: DecisionTree | None = None,
     cfg: LimeConfig = LimeConfig(),
-) -> Explanation:
+) -> str:
     """Template the recommendation rationale from the surrogate ranking.
 
     Purely templated: zero reasoner calls.
@@ -365,17 +365,15 @@ def explain_pizza(
         raise PizzaExplainError(f"recommendation {recommended!r} is not a known pizza class")
     attribution = lime_attribute(tree, x, recommended, cfg)
     if attribution.top_present_ingredient is None:
-        text = (
+        return (
             f"I recommended {recommended} as the default choice: no ingredients "
             "were available to steer the decision."
         )
-        return Explanation(text=text, produced_by="pizza_recommender")
     present = [(INGREDIENTS[i], attribution.weights[i]) for i, v in enumerate(x) if v == 1]
     present.sort(key=lambda item: -item[1])
     ranking = ", ".join(f"{name} ({weight:+.3f})" for name, weight in present)
-    text = (
+    return (
         f"I recommended {recommended} mainly because "
         f"{attribution.top_present_ingredient} was available. "
         f"Influence of the available ingredients on this choice: {ranking}."
     )
-    return Explanation(text=text, produced_by="pizza_recommender")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from ..framework import ExplainerError
 from ..reasoner import TextReasoner, load_prompt_template
-from ..trace import ContextVector, Event, Explanation, Query, TaskPlan
+from ..trace import ContextVector, Event, Query, TaskPlan
 
 
 def format_plan(plan: TaskPlan) -> tuple[str, str]:
@@ -20,7 +19,8 @@ def format_plan(plan: TaskPlan) -> tuple[str, str]:
     return "\n".join(steps) or "(no steps)", grounding
 
 
-def build_planner_prompt(query: Query, context: ContextVector, plan: TaskPlan) -> str:
+def build_planner_prompt(query: Query, context: ContextVector) -> str:
+    plan = context.plan
     plan_steps, grounding = format_plan(plan)
     statuses = "\n".join(f"- {skill}: {status}" for skill, status in context.skills) or "(none)"
     return load_prompt_template("planner").format(
@@ -37,19 +37,9 @@ def explain_planner(
     context: ContextVector,
     events: tuple[Event, ...],
     reasoner: TextReasoner,
-) -> Explanation:
+) -> str:
     """Prompt the reasoner with instruction, plan, grounding errors and statuses."""
-    plan_event = next((e for e in events if e.kind == "plan"), None)
-    if plan_event is None:
-        raise ExplainerError("planner explainer needs the plan event in its view")
-    plan = TaskPlan.from_payload(plan_event.payload)
-    response = reasoner.complete_text(
+    return reasoner.complete_text(
         system_prompt="You explain robot task plans.",
-        user_prompt=build_planner_prompt(query, context, plan),
-    )
-    return Explanation(
-        text=response.text,
-        produced_by="planner",
-        reasoner_calls=1,
-        wall_time=response.latency,
-    )
+        user_prompt=build_planner_prompt(query, context),
+    ).text

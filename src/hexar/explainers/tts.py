@@ -4,7 +4,7 @@ mode the skill has, a timeout on overly long utterances. Zero reasoner calls."""
 from __future__ import annotations
 
 from ..framework import ExplainerError
-from ..trace import ContextVector, Event, Explanation, Query
+from ..trace import ContextVector, Event, Query
 
 TIMEOUT_TEMPLATE = (
     "The speech was cut off because the text-to-speech skill timed out before "
@@ -21,7 +21,7 @@ def explain_tts(
     context: ContextVector,
     events: tuple[Event, ...],
     reasoner=None,
-) -> Explanation:
+) -> str:
     timed_out = any(
         e.kind == "skill_status"
         and e.payload.get("skill") == "text_to_speech"
@@ -30,7 +30,7 @@ def explain_tts(
         for e in events
     )
     if not timed_out:
-        return Explanation(text=NO_PROBLEM_TEMPLATE, produced_by="text_to_speech")
+        return NO_PROBLEM_TEMPLATE
     length = 0
     for e in events:
         if e.kind == "dialogue" and "length" in e.payload:
@@ -38,7 +38,4 @@ def explain_tts(
                 length = int(e.payload["length"])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ExplainerError(f"malformed utterance length: {e.payload['length']!r}") from exc
-    return Explanation(
-        text=TIMEOUT_TEMPLATE.format(length=length),
-        produced_by="text_to_speech",
-    )
+    return TIMEOUT_TEMPLATE.format(length=length)

@@ -1,9 +1,11 @@
-"""Explainer registry, selection, context and dispatch.
+"""Explainer registry, selection, context, dispatch and cost metering.
 
 A component explainer subscribes to a subset of robot modules and turns a
-query plus context into a natural-language explanation. The selector picks
-exactly one explainer per query: a failure heuristic over the last plan and
-skill statuses first, a query classifier otherwise.
+query plus context into natural-language text. The selector picks exactly
+one explainer per query: a failure heuristic over the last plan and skill
+statuses first, a query classifier otherwise. What an answer costs is
+counted in one place, the :class:`ReasonerMeter` each method entry point
+wraps around the caller's reasoner.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
-from .reasoner import ReasonerError, TextReasoner, load_prompt_template
+from .reasoner import (
+    ReasonerError,
+    ReasonerRequest,
+    ReasonerResponse,
+    TextReasoner,
+    load_prompt_template,
+)
 from .trace import ContextVector, Event, Explanation, Query, Trace, TraceError
 
 
@@ -31,6 +39,36 @@ class ExplainerError(RuntimeError):
 ANSWER_ERRORS = (TraceError, SelectionError, ExplainerError, ReasonerError)
 
 
+class ReasonerMeter(TextReasoner):
+    """Counts an answer's reasoner calls and modelled latency.
+
+    Every attempted completion counts as a call, also one that raises; the
+    modelled ``latency`` of each response that comes back is summed. The
+    measured clock starts when the meter is created.
+    """
+
+    def __init__(self, inner: TextReasoner) -> None:
+        self.inner = inner
+        self.calls = 0
+        self.latency = 0.0
+        self.start = time.perf_counter()
+
+    def complete(self, request: ReasonerRequest) -> ReasonerResponse:
+        self.calls += 1
+        response = self.inner.complete(request)
+        self.latency += response.latency
+        return response
+
+    def explanation(self, text: str, produced_by: str) -> Explanation:
+        """The answer, billed with every call so far and measured plus modelled time."""
+        return Explanation(
+            text=text,
+            produced_by=produced_by,
+            reasoner_calls=self.calls,
+            wall_time=time.perf_counter() - self.start + self.latency,
+        )
+
+
 class ExplainFn(Protocol):
     def __call__(
         self,
@@ -38,7 +76,7 @@ class ExplainFn(Protocol):
         context: ContextVector,
         events: tuple[Event, ...],
         reasoner: TextReasoner,
-    ) -> Explanation: ...
+    ) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -94,12 +132,10 @@ class SelectorDecision:
     chosen: str
     stage: SelectorStage
     context: ContextVector
-    classifier_calls: int = 0
-    classifier_latency: float = 0.0
 
 
 def build_context(query: Query, trace: Trace) -> ContextVector:
-    """Task, per-skill latest statuses, plan validity and the time window."""
+    """The parsed plan, per-skill latest statuses and the time window."""
     plan = trace.plan  # raises TraceError when the plan event is missing
     latest: dict[str, str] = {}
     for event in trace.events:
@@ -110,7 +146,7 @@ def build_context(query: Query, trace: Trace) -> ContextVector:
     start = events[0].ts if events else 0.0
     end = min(events[-1].ts, query.asked_at) if events else query.asked_at
     end = max(start, end)
-    return ContextVector(task=plan.instruction, skills=skills, plan_valid=plan.valid, window=(start, end))
+    return ContextVector(plan=plan, skills=skills, window=(start, end))
 
 
 def _earliest_failure(trace: Trace) -> str | None:
@@ -141,7 +177,7 @@ def select(
     classifier answer is an error, never a silent default.
     """
     context = build_context(query, trace)
-    if not context.plan_valid:
+    if not context.plan.valid:
         chosen = registry.explainer_for_module("planner")
         return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)
     failed_skill = _earliest_failure(trace)
@@ -157,39 +193,39 @@ def select(
     answer = response.text.strip()
     if answer not in registry.explainers:
         raise SelectionError(f"classifier returned unknown explainer id {answer!r}")
-    return SelectorDecision(
-        answer,
-        SelectorStage.QUERY_CLASSIFIER,
-        context,
-        classifier_calls=1,
-        classifier_latency=response.latency,
-    )
+    return SelectorDecision(answer, SelectorStage.QUERY_CLASSIFIER, context)
 
 
-def build_aggregation_prompt(explanations: list[Explanation], query: Query) -> str:
-    listed = "\n".join(f"- {e.text}" for e in explanations)
+def run_explainer(
+    explainer: ComponentExplainer,
+    query: Query,
+    context: ContextVector,
+    trace: Trace,
+    reasoner: TextReasoner,
+) -> str:
+    """Run one explainer on its subscribed events inside the context window."""
+    events = trace.by_source(explainer.subscribed_sources, window=context.window)
+    text = explainer.explain_fn(query, context, events, reasoner)
+    if not text:
+        raise TraceError("explanation text must be non-empty")
+    return text
+
+
+def build_aggregation_prompt(texts: list[str], query: Query) -> str:
+    listed = "\n".join(f"- {text}" for text in texts)
     return load_prompt_template("aggregation").format(query=query.text, explanations=listed)
 
 
-def aggregate(
-    explanations: list[Explanation], query: Query, reasoner: TextReasoner
-) -> Explanation:
-    """Merge several explanations into one; singletons pass through unchanged."""
-    if not explanations:
+def aggregate(texts: list[str], query: Query, reasoner: TextReasoner) -> str:
+    """Merge several explanation texts into one; a singleton passes through unchanged."""
+    if not texts:
         raise ValueError("nothing to aggregate")
-    if len(explanations) == 1:
-        return explanations[0]
-    response = reasoner.complete_text(
+    if len(texts) == 1:
+        return texts[0]
+    return reasoner.complete_text(
         system_prompt="You merge robot explanations for the user.",
-        user_prompt=build_aggregation_prompt(explanations, query),
-    )
-    contributors = [e.produced_by for e in explanations]
-    return Explanation(
-        text=response.text,
-        produced_by="+".join(contributors + ["aggregator"]),
-        reasoner_calls=sum(e.reasoner_calls for e in explanations) + 1,
-        wall_time=sum(e.wall_time for e in explanations) + response.latency,
-    )
+        user_prompt=build_aggregation_prompt(texts, query),
+    ).text
 
 
 def explain_hexar(
@@ -199,15 +235,7 @@ def explain_hexar(
     reasoner: TextReasoner,
 ) -> Explanation:
     """Full pipeline: select one explainer, build context, dispatch."""
-    start = time.perf_counter()
-    decision = select(query, trace, registry, reasoner)
-    explainer = registry.explainers[decision.chosen]
-    events = trace.by_source(explainer.subscribed_sources, window=decision.context.window)
-    explanation = explainer.explain_fn(query, decision.context, events, reasoner)
-    elapsed = time.perf_counter() - start
-    return Explanation(
-        text=explanation.text,
-        produced_by=decision.chosen,
-        reasoner_calls=explanation.reasoner_calls + decision.classifier_calls,
-        wall_time=elapsed + explanation.wall_time + decision.classifier_latency,
-    )
+    meter = ReasonerMeter(reasoner)
+    decision = select(query, trace, registry, meter)
+    text = run_explainer(registry.explainers[decision.chosen], query, decision.context, trace, meter)
+    return meter.explanation(text, decision.chosen)

@@ -471,29 +471,55 @@ def grid_triples() -> list[tuple[int, int, int]]:
     ]
 
 
+_MANIFEST_COLUMNS = ["scenario_id", "task_variant", "query_index"]
+
+
 def write_manifest(path: str | Path) -> None:
     """Write the evaluation manifest: one CSV row per grid triple."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "task_variant", "query_index"])
+        writer.writerow(_MANIFEST_COLUMNS)
         writer.writerows(grid_triples())
 
 
-def read_manifest(path: str | Path) -> list[tuple[int, int, int]]:
+def read_csv_rows(path: str | Path, columns: list[str], kind: str) -> list[dict[str, str]]:
+    """Rows of a CSV file whose header is exactly ``columns``; blank lines are skipped.
+
+    Raises ``ValueError`` for another header, a row whose field count
+    differs from the header's or unparseable CSV, naming the file line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["scenario_id", "task_variant", "query_index"]:
-            raise ValueError(f"bad manifest columns: {reader.fieldnames}")
-        triples = []
-        for row in reader:
-            triple = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
-            if not (
-                1 <= triple[0] <= N_SCENARIOS
-                and 1 <= triple[1] <= N_TASK_VARIANTS
-                and 1 <= triple[2] <= N_QUERIES
-            ):
-                raise ValueError(f"manifest triple out of range: {triple}")
-            triples.append(triple)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != columns:
+                raise ValueError(f"bad {kind} columns: {header}")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected {len(columns)} fields, "
+                        f"found {len(row)}"
+                    )
+                rows.append(dict(zip(columns, row)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return rows
+
+
+def read_manifest(path: str | Path) -> list[tuple[int, int, int]]:
+    triples = []
+    for row in read_csv_rows(path, _MANIFEST_COLUMNS, "manifest"):
+        triple = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
+        if not (
+            1 <= triple[0] <= N_SCENARIOS
+            and 1 <= triple[1] <= N_TASK_VARIANTS
+            and 1 <= triple[2] <= N_QUERIES
+        ):
+            raise ValueError(f"manifest triple out of range: {triple}")
+        triples.append(triple)
     if not triples:
         raise ValueError("empty manifest")
     return triples

@@ -176,9 +176,8 @@ class Query:
 class ContextVector:
     """Task context handed to a selected component explainer."""
 
-    task: str
+    plan: TaskPlan
     skills: tuple[tuple[str, str], ...]  # (skill, latest status), plan order
-    plan_valid: bool
     window: tuple[float, float]
 
     def __post_init__(self) -> None:
@@ -188,7 +187,11 @@ class ContextVector:
 
 @dataclass(frozen=True)
 class Explanation:
-    """Natural-language answer plus provenance and cost accounting."""
+    """Natural-language answer plus provenance and cost accounting.
+
+    ``reasoner_calls`` and ``wall_time`` (measured plus modelled seconds) are
+    filled in by the method entry point's ``ReasonerMeter``.
+    """
 
     text: str
     produced_by: str

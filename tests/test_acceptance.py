@@ -10,6 +10,7 @@ import math
 import random
 import statistics
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_counterfactual_suite():
                 if modelled is HelpOutcome.SUCCESS:
                     continue
                 result = counterfactual(model, variables)
-                intervened = variables.replace(**{result.variable: result.intervention})
+                intervened = replace(variables, **{result.variable: result.intervention})
                 flipped = evaluate_model(model, intervened)
                 assert gate_order.index(flipped) > gate_order.index(modelled)
                 failed_gate = next(g for g in model.gates if g.failure is modelled)
@@ -251,14 +252,14 @@ def test_counterfactual_suite():
                     if gate.variable == result.variable:
                         continue
                     boundary_value = gate.passing_value(variables, model.thresholds)
-                    other = variables.replace(**{gate.variable: boundary_value})
+                    other = replace(variables, **{gate.variable: boundary_value})
                     assert not failed_gate.predicate(other, model.thresholds)
                 observed, boundary = result.observed, result.intervention
                 if isinstance(observed, (int, float)) and isinstance(boundary, (int, float)) \
                         and not isinstance(observed, bool) and not isinstance(boundary, bool):
                     for fraction in (0.25, 0.5, 0.9):
                         partial = observed + (boundary - observed) * fraction
-                        shifted = variables.replace(**{result.variable: partial})
+                        shifted = replace(variables, **{result.variable: partial})
                         assert not failed_gate.predicate(shifted, model.thresholds)
                 checked_flips += 1
     assert checked_flips > 0 and checked_agreement == 48

@@ -22,7 +22,7 @@ from hexar.framework import (
     explain_hexar,
 )
 from hexar.reasoner import ReasonerRequest, ReasonerResponse, TextReasoner
-from hexar.trace import Explanation, Query
+from hexar.trace import Query
 
 
 class RecordingReasoner(TextReasoner):
@@ -146,7 +146,7 @@ def test_all_components_runs_explainers_in_the_calling_thread(rule_reasoner, tra
     def probe(explainer_id):
         def explain(query, context, events, reasoner):
             seen.append((explainer_id, threading.get_ident()))
-            return Explanation(text=f"{explainer_id} ran.", produced_by=explainer_id)
+            return f"{explainer_id} ran."
 
         return ComponentExplainer(
             id=explainer_id, subscribed_sources=frozenset({"planner"}), explain_fn=explain
@@ -161,6 +161,20 @@ def test_all_components_runs_explainers_in_the_calling_thread(rule_reasoner, tra
     assert threading.active_count() == threads_before
     assert seen == [(i, threading.get_ident()) for i in ("first", "second", "third")]
     assert result.produced_by == "first+second+third+aggregator"
+
+
+def test_all_components_with_one_explainer_skips_aggregation(trace_cache):
+    only = ExplainerRegistry()
+    only.register(build_default_registry().explainers["text_to_speech"], ["text_to_speech"])
+    trace = trace_cache(19)
+    recorder = RecordingReasoner(None)  # any call would fail: nothing may reach it
+    result = explain_all_components(_query(trace), trace, only, recorder)
+    assert (result.produced_by, result.reasoner_calls, recorder.requests) == (
+        "text_to_speech",
+        0,
+        [],
+    )
+    assert "timed out" in result.text
 
 
 def _registry_with_tts(explain_fn) -> ExplainerRegistry:

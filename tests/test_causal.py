@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from hexar.explainers.help_causal import (
@@ -17,8 +19,9 @@ from hexar.explainers.help_causal import (
     extract_variables,
     render_counterfactual,
 )
+from hexar.framework import explain_hexar
 from hexar.simulate import generate_trace, replay_fsm
-from hexar.trace import ContextVector, Query
+from hexar.trace import ContextVector, Query, TaskPlan
 
 MODEL = build_help_model()
 
@@ -191,7 +194,7 @@ def brute_force_flip_check(v: HelpVariables):
     failed_gate = next(g for g in MODEL.gates if g.failure is realized)
     assert result.variable == failed_gate.variable
 
-    intervened = v.replace(**{result.variable: result.intervention})
+    intervened = replace(v, **{result.variable: result.intervention})
     assert failed_gate.predicate(intervened, MODEL.thresholds), "gate did not flip"
     assert gate_rank(evaluate_model(MODEL, intervened)) > gate_rank(realized)
 
@@ -203,7 +206,7 @@ def brute_force_flip_check(v: HelpVariables):
         # must leave the gate failing (the boundary is the minimal change)
         for fraction in (0.2, 0.5, 0.9, 0.99):
             candidate = observed + (boundary - observed) * fraction
-            shifted = v.replace(**{result.variable: candidate})
+            shifted = replace(v, **{result.variable: candidate})
             assert not failed_gate.predicate(shifted, MODEL.thresholds), (
                 f"{result.variable}={candidate} already flips; boundary not minimal"
             )
@@ -223,50 +226,66 @@ def test_grid_counterfactuals_flip_and_are_minimal(scenario_id, variant):
 
 def _context() -> ContextVector:
     return ContextVector(
-        task="Get someone to hold the door open for you",
+        plan=TaskPlan("Get someone to hold the door open for you", (), True, ()),
         skills=(("ask_human_for_help", "failed"),),
-        plan_valid=True,
         window=(0.0, 100.0),
     )
 
 
-def test_explain_help_no_human(trace_cache, rule_reasoner):
-    events = help_events(trace_cache(11))
-    result = explain_help(Query("What happened?", 100.0), _context(), events, rule_reasoner)
-    assert "did not detect anybody" in result.text
-    assert "if at least one person had been present" in result.text
-    assert result.reasoner_calls == 1
+def _hexar(trace, query_text, registry, reasoner):
+    """The hexar answer to ``query_text`` at the end of ``trace``, routed to this explainer."""
+    explanation = explain_hexar(Query(query_text, trace.events[-1].ts), trace, registry, reasoner)
+    assert explanation.produced_by == "ask_human_for_help"
+    return explanation
 
 
-def test_explain_help_high_variance_is_templated(trace_cache, rule_reasoner):
-    events = help_events(trace_cache(18))
-    result = explain_help(Query("Why?", 100.0), _context(), events, rule_reasoner)
-    assert "high variance in the person's detection" in result.text
-    assert result.reasoner_calls == 0
+def test_explain_help_no_human(trace_cache, registry, rule_reasoner):
+    trace = trace_cache(11)
+    text = explain_help(Query("What happened?", 100.0), _context(), help_events(trace), rule_reasoner)
+    assert "did not detect anybody" in text
+    assert "if at least one person had been present" in text
+    # the failure heuristic selects; the naturalisation is the one call
+    hexar = _hexar(trace, "What happened?", registry, rule_reasoner)
+    assert (hexar.text, hexar.reasoner_calls) == (text, 1)
 
 
-def test_explain_help_replanned_approach_is_templated(trace_cache, rule_reasoner):
-    events = help_events(trace_cache(17))
-    result = explain_help(Query("Why?", 100.0), _context(), events, rule_reasoner)
-    assert "approach path was replanned" in result.text
-    assert result.reasoner_calls == 0
+def test_explain_help_high_variance_is_templated(trace_cache, registry, rule_reasoner):
+    trace = trace_cache(18)
+    text = explain_help(Query("Why?", 100.0), _context(), help_events(trace), rule_reasoner)
+    assert "high variance in the person's detection" in text
+    # the classifier's call is the only one: the template needs none
+    hexar = _hexar(trace, "Why did you approach them so strangely?", registry, rule_reasoner)
+    assert (hexar.text, hexar.reasoner_calls) == (text, 1)
 
 
-def test_explain_help_clean_success_template(trace_cache, rule_reasoner):
+def test_explain_help_replanned_approach_is_templated(trace_cache, registry, rule_reasoner):
+    trace = trace_cache(17)
+    text = explain_help(Query("Why?", 100.0), _context(), help_events(trace), rule_reasoner)
+    assert "approach path was replanned" in text
+    hexar = _hexar(trace, "Why was your approach so awkward?", registry, rule_reasoner)
+    assert (hexar.text, hexar.reasoner_calls) == (text, 1)
+
+
+def test_explain_help_clean_success_template(trace_cache, registry, rule_reasoner):
     # scenario 17 without its replanning logs is a clean success
-    events = tuple(
-        e
-        for e in help_events(trace_cache(17))
-        if "approach path was replanned" not in str(e.payload.get("text", ""))
+    full = trace_cache(17)
+    trace = replace(
+        full,
+        events=tuple(
+            e
+            for e in full.events
+            if "approach path was replanned" not in str(e.payload.get("text", ""))
+        ),
     )
-    result = explain_help(Query("Why?", 100.0), _context(), events, rule_reasoner)
-    assert "completed normally" in result.text
-    assert result.reasoner_calls == 0
+    text = explain_help(Query("Why?", 100.0), _context(), help_events(trace), rule_reasoner)
+    assert "completed normally" in text
+    hexar = _hexar(trace, "Why was your approach so awkward?", registry, rule_reasoner)
+    assert (hexar.text, hexar.reasoner_calls) == (text, 1)
 
 
 def test_explain_help_without_events_reports_unused(rule_reasoner):
-    result = explain_help(Query("Why?", 1.0), _context(), (), rule_reasoner)
-    assert "was not used" in result.text
+    text = explain_help(Query("Why?", 1.0), _context(), (), rule_reasoner)
+    assert "was not used" in text
 
 
 def test_explain_help_falls_back_to_template_on_reasoner_failure(trace_cache):
@@ -277,6 +296,6 @@ def test_explain_help_falls_back_to_template_on_reasoner_failure(trace_cache):
             raise ReasonerError("endpoint down")
 
     events = help_events(trace_cache(12))
-    result = explain_help(Query("Why?", 100.0), _context(), events, BrokenReasoner())
-    assert "human_too_far occurred because min_distance" in result.text
-    assert "naturalisation unavailable" in result.text
+    text = explain_help(Query("Why?", 100.0), _context(), events, BrokenReasoner())
+    assert "human_too_far occurred because min_distance" in text
+    assert "naturalisation unavailable" in text

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 
 import pytest
 
@@ -263,6 +264,41 @@ def test_explain_interactive_reads_stdin(charger_trace, capsys, monkeypatch):
     assert "plugged into its charger" in out
 
 
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises BrokenPipeError."""
+
+    def __init__(self, fd: int, failing: str):
+        self.fd = fd
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_explain_into_a_closed_pipe_ends_quietly(charger_trace, tmp_path, capsys, monkeypatch, failing):
+    # stands in for ``hexar explain ... | head -c 10``; its descriptor is a scratch file
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fd, failing))
+        code = main(["explain", "--trace", str(charger_trace), "--query", "Why didn't you bring it?"])
+        redirected = os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert code == 0
+    assert redirected  # the flush at interpreter exit cannot fail again
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -- evaluate and report ---------------------------------------------------------
 
 
@@ -397,3 +433,59 @@ def test_report_missing_annotator_coverage(tmp_path, small_manifest, capsys):
         capsys,
     )
     assert code == 2
+
+
+def _results(tmp_path, small_manifest, capsys):
+    path = tmp_path / "results.csv"
+    code, _, _ = run(
+        ["evaluate", "--manifest", str(small_manifest), "--methods", "hexar", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    return path
+
+
+def _assert_short_row_error(code, err, path):
+    assert code == 2
+    assert err.startswith("error:")
+    assert f"{path}: line 2: expected" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_short_manifest_row_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("scenario_id,task_variant,query_index\n1,1\n")
+    code, _, err = run(
+        ["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")], capsys
+    )
+    _assert_short_row_error(code, err, manifest)
+
+
+def test_report_short_annotation_row_is_usage_error(tmp_path, small_manifest, capsys):
+    results = _results(tmp_path, small_manifest, capsys)
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text("sample_id,annotator_id,root_cause,incorrect_facts\nx,1\n")
+    code, _, err = run(
+        [
+            "report",
+            "--results",
+            str(results),
+            "--annotations",
+            str(annotations),
+            "--out",
+            str(tmp_path / "rep"),
+        ],
+        capsys,
+    )
+    _assert_short_row_error(code, err, annotations)
+
+
+def test_report_short_results_row_is_usage_error(tmp_path, small_manifest, capsys):
+    results = _results(tmp_path, small_manifest, capsys)
+    header = results.read_text().splitlines()[0]
+    results.write_text(f"{header}\ns01v1q1_hexar,1\n")
+    code, _, err = run(
+        ["report", "--results", str(results), "--auto-annotate", "--out", str(tmp_path / "rep")],
+        capsys,
+    )
+    _assert_short_row_error(code, err, results)

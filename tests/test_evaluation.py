@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from hexar.evaluation import (
+    METHODS,
     AnnotationRow,
     EvalRecord,
+    answer,
     auto_annotate,
     compute_stats,
     majority_vote,
@@ -18,7 +20,7 @@ from hexar.evaluation import (
     write_annotations_csv,
     write_results_csv,
 )
-from hexar.reasoner import RuleReasoner
+from hexar.reasoner import LatencyModelReasoner, RuleReasoner, TextReasoner
 from hexar.scenarios import get_scenario, grid_triples
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
@@ -114,6 +116,33 @@ def test_run_grid_flags_per_sample_failures_without_aborting():
     assert all(r.explanation_text == "" for r in records)
     assert all(r.produced_by.startswith("error:") for r in records)
     assert all(r.selected_ok is False for r in records)
+
+
+class BillingOracle(TextReasoner):
+    """Counts the completions it sees and sums their modelled latency."""
+
+    def __init__(self):
+        self.inner = LatencyModelReasoner(RuleReasoner())
+        self.calls = 0
+        self.latency = 0.0
+
+    def complete(self, request):
+        self.calls += 1
+        response = self.inner.complete(request)
+        self.latency += response.latency
+        return response
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_answer_is_billed_for_every_reasoner_call(method, registry, specs_by_id, trace_cache):
+    for scenario_id, variant, query_index in grid_triples():
+        oracle = BillingOracle()
+        text = specs_by_id[scenario_id].queries[query_index - 1]
+        explanation = answer(method, text, trace_cache(scenario_id, variant), registry, oracle)
+        point = (scenario_id, variant, query_index)
+        assert explanation.reasoner_calls == oracle.calls, point
+        assert explanation.wall_time >= oracle.latency, point
+        assert (oracle.latency > 0) == (oracle.calls > 0), point
 
 
 # -- annotation --------------------------------------------------------------

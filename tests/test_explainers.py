@@ -12,8 +12,8 @@ from hexar.explainers.navigation import (
 )
 from hexar.explainers.planner import build_planner_prompt, explain_planner
 from hexar.explainers.tts import NO_PROBLEM_TEMPLATE, explain_tts
-from hexar.framework import build_context
-from hexar.trace import Query, TaskPlan
+from hexar.framework import build_context, explain_hexar
+from hexar.trace import Query
 
 
 def _context(trace, query):
@@ -27,35 +27,36 @@ def _events(trace, sources):
 # -- planner -----------------------------------------------------------------
 
 
-def test_planner_explains_invalid_parameters(trace_cache, rule_reasoner):
+def test_planner_explains_invalid_parameters(trace_cache, registry, rule_reasoner):
     trace = trace_cache(2)
     query = Query("What happened?", trace.events[-1].ts)
-    result = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
-    assert "invalid parameter" in result.text
-    assert result.reasoner_calls == 1
+    text = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
+    assert "invalid parameter" in text
+    hexar = explain_hexar(query, trace, registry, rule_reasoner)
+    assert (hexar.text, hexar.produced_by, hexar.reasoner_calls) == (text, "planner", 1)
 
 
 def test_planner_explains_missing_capability(trace_cache, rule_reasoner):
     trace = trace_cache(4)
     query = Query("Why didn't you do what I asked?", trace.events[-1].ts)
-    result = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
-    assert "unable to complete" in result.text
-    assert "no available skill" in result.text
+    text = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
+    assert "unable to complete" in text
+    assert "no available skill" in text
 
 
 def test_planner_explains_unfulfilled_request(trace_cache, rule_reasoner):
     trace = trace_cache(3)
     query = Query("Why didn't you complete my request?", trace.events[-1].ts)
-    result = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
-    assert "does not fulfil the request" in result.text
-    assert "living room" in result.text
+    text = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
+    assert "does not fulfil the request" in text
+    assert "living room" in text
 
 
 def test_planner_prompt_preserves_section_order(trace_cache):
     trace = trace_cache(2)
     query = Query("What happened?", trace.events[-1].ts)
-    plan = TaskPlan.from_payload(trace.plan_event.payload)
-    prompt = build_planner_prompt(query, _context(trace, query), plan)
+    plan = trace.plan
+    prompt = build_planner_prompt(query, _context(trace, query))
     positions = [
         prompt.index("## Instruction"),
         prompt.index("## Plan"),
@@ -71,38 +72,41 @@ def test_planner_prompt_preserves_section_order(trace_cache):
 def test_planner_prompt_omits_grounding_section_when_clean(trace_cache):
     trace = trace_cache(3)
     query = Query("What happened?", trace.events[-1].ts)
-    plan = TaskPlan.from_payload(trace.plan_event.payload)
-    prompt = build_planner_prompt(query, _context(trace, query), plan)
+    plan = trace.plan
+    prompt = build_planner_prompt(query, _context(trace, query))
     assert "## Grounding errors" not in prompt
 
 
 # -- text to speech ------------------------------------------------------------
 
 
-def test_tts_timeout_template_substitutes_length(trace_cache):
+def test_tts_timeout_template_substitutes_length(trace_cache, registry, rule_reasoner):
     trace = trace_cache(19)
     query = Query("Why did you stop talking mid-announcement?", trace.events[-1].ts)
     events = _events(trace, {"text_to_speech"})
-    result = explain_tts(query, _context(trace, query), events)
-    assert "timed out before the utterance was complete" in result.text
+    text = explain_tts(query, _context(trace, query), events)
+    assert "timed out before the utterance was complete" in text
     length = next(int(e.payload["length"]) for e in events if "length" in e.payload)
-    assert f"{length} characters" in result.text
-    assert result.reasoner_calls == 0
+    assert f"{length} characters" in text
+    hexar = explain_hexar(query, trace, registry, rule_reasoner)
+    assert (hexar.text, hexar.produced_by, hexar.reasoner_calls) == (text, "text_to_speech", 0)
 
 
 def test_tts_no_problem_on_success(trace_cache):
     trace = trace_cache(3)
     query = Query("What happened?", trace.events[-1].ts)
-    result = explain_tts(query, _context(trace, query), _events(trace, {"text_to_speech"}))
-    assert result.text == NO_PROBLEM_TEMPLATE
+    text = explain_tts(query, _context(trace, query), _events(trace, {"text_to_speech"}))
+    assert text == NO_PROBLEM_TEMPLATE
 
 
-def test_tts_no_problem_without_events(trace_cache):
+def test_tts_no_problem_without_events(trace_cache, registry, rule_reasoner):
     trace = trace_cache(20)
-    query = Query("What happened?", trace.events[-1].ts)
-    result = explain_tts(query, _context(trace, query), ())
-    assert result.text == NO_PROBLEM_TEMPLATE
-    assert result.reasoner_calls == 0
+    query = Query("Why did you stop talking?", trace.events[-1].ts)
+    text = explain_tts(query, _context(trace, query), ())
+    assert text == NO_PROBLEM_TEMPLATE
+    # the classifier's call is the only one: the explainer itself makes none
+    hexar = explain_hexar(query, trace, registry, rule_reasoner)
+    assert (hexar.text, hexar.produced_by, hexar.reasoner_calls) == (text, "text_to_speech", 1)
 
 
 # -- log filtering ----------------------------------------------------------------
@@ -166,25 +170,25 @@ def _nav_events(trace):
 def test_navigation_explains_joystick(trace_cache, rule_reasoner):
     trace = trace_cache(6)
     query = Query("Is something overriding your controls?", trace.events[-1].ts)
-    result = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
-    assert "joystick controller is enabled" in result.text
-    assert "overriding autonomous navigation" in result.text
+    text = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
+    assert "joystick controller is enabled" in text
+    assert "overriding autonomous navigation" in text
 
 
 def test_navigation_explains_replanning(trace_cache, rule_reasoner):
     trace = trace_cache(9)
     query = Query("Why did you keep changing your path?", trace.events[-1].ts)
-    result = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
-    assert "forced the robot to replan" in result.text
+    text = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
+    assert "forced the robot to replan" in text
 
 
 def test_navigation_speed_answer_makes_no_failure_claim(trace_cache, rule_reasoner):
     trace = trace_cache(10)
     query = Query("Why are you so slow?", trace.events[-1].ts)
-    result = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
-    assert "configured speed limit" in result.text
-    assert "could not" not in result.text
-    assert "failed" not in result.text
+    text = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
+    assert "configured speed limit" in text
+    assert "could not" not in text
+    assert "failed" not in text
 
 
 def test_navigation_prompt_contains_catalogue_params_and_query(trace_cache):

@@ -7,6 +7,7 @@ import pytest
 from hexar.framework import (
     ComponentExplainer,
     ExplainerRegistry,
+    ReasonerMeter,
     SelectionError,
     SelectorStage,
     aggregate,
@@ -17,7 +18,7 @@ from hexar.framework import (
 from hexar.reasoner import ReasonerResponse, TextReasoner
 from hexar.scenarios import grid_triples
 from hexar.simulate import generate_trace
-from hexar.trace import Event, Explanation, Query, TaskPlan, Trace, TraceError
+from hexar.trace import Event, Query, TaskPlan, Trace, TraceError
 
 
 class StubReasoner(TextReasoner):
@@ -70,7 +71,8 @@ def test_view_window_filters_by_timestamp(trace_cache):
 def test_build_context_execution_failure(trace_cache):
     trace = trace_cache(7)
     context = build_context(_query(trace), trace)
-    assert context.plan_valid is True
+    assert context.plan is trace.plan
+    assert context.plan.valid is True
     statuses = dict(context.skills)
     assert statuses["navigation"] == "failed"
 
@@ -78,7 +80,7 @@ def test_build_context_execution_failure(trace_cache):
 def test_build_context_invalid_plan(trace_cache):
     trace = trace_cache(2)
     context = build_context(_query(trace), trace)
-    assert context.plan_valid is False
+    assert context.plan.valid is False
 
 
 def test_build_context_all_succeeded(trace_cache):
@@ -106,8 +108,8 @@ def test_build_context_requires_plan():
         build_context(Query("Why?", 1.0), trace)
 
 
-def test_plan_is_parsed_once_per_trace(monkeypatch, registry):
-    from hexar.baselines import build_end_to_end_prompt
+def test_plan_is_parsed_once_per_trace(monkeypatch, registry, rule_reasoner):
+    from hexar.baselines import build_end_to_end_prompt, explain_all_components
 
     calls = []
     parse = TaskPlan.from_payload
@@ -122,6 +124,8 @@ def test_plan_is_parsed_once_per_trace(monkeypatch, registry):
     first = build_context(query, trace)
     assert build_context(query, trace) == first
     build_end_to_end_prompt(query, trace, registry)
+    # the planner explainer reads the plan from its context
+    explain_all_components(query, trace, registry, rule_reasoner)
     assert len(calls) == 1
 
 
@@ -144,12 +148,11 @@ def test_invalid_plan_selects_planner(registry, rule_reasoner, trace_cache):
 
 def test_successful_run_classifies_by_query(registry, rule_reasoner, trace_cache):
     trace = trace_cache(20)
-    decision = select(
-        _query(trace, "Why did you pick that pizza?"), trace, registry, rule_reasoner
-    )
+    meter = ReasonerMeter(rule_reasoner)
+    decision = select(_query(trace, "Why did you pick that pizza?"), trace, registry, meter)
     assert decision.chosen == "pizza_recommender"
     assert decision.stage is SelectorStage.QUERY_CLASSIFIER
-    assert decision.classifier_calls == 1
+    assert meter.calls == 1
 
 
 def test_unknown_classifier_answer_is_an_error(registry, trace_cache):
@@ -243,24 +246,21 @@ def test_component_explainer_needs_subscriptions():
 
 
 def test_aggregate_singleton_passes_through(rule_reasoner):
-    single = Explanation(text="only answer", produced_by="navigation", reasoner_calls=1)
-    assert aggregate([single], Query("Why?", 1.0), rule_reasoner) is single
+    meter = ReasonerMeter(rule_reasoner)
+    assert aggregate(["only answer"], Query("Why?", 1.0), meter) == "only answer"
+    assert meter.calls == 0
 
 
 def test_aggregate_deduplicates_identical_texts(rule_reasoner):
-    a = Explanation(text="same sentence.", produced_by="navigation")
-    b = Explanation(text="same sentence.", produced_by="planner")
-    merged = aggregate([a, b], Query("Why?", 1.0), rule_reasoner)
-    assert merged.text == "same sentence."
-    assert merged.produced_by == "navigation+planner+aggregator"
-    assert merged.reasoner_calls == 1
+    meter = ReasonerMeter(rule_reasoner)
+    merged = aggregate(["same sentence.", "same sentence."], Query("Why?", 1.0), meter)
+    assert merged == "same sentence."
+    assert meter.calls == 1
 
 
 def test_aggregate_preserves_input_order(rule_reasoner):
-    a = Explanation(text="first point.", produced_by="planner")
-    b = Explanation(text="second point.", produced_by="navigation")
-    merged = aggregate([a, b], Query("Why?", 1.0), rule_reasoner)
-    assert merged.text == "first point. second point."
+    merged = aggregate(["first point.", "second point."], Query("Why?", 1.0), rule_reasoner)
+    assert merged == "first point. second point."
 
 
 def test_aggregate_rejects_empty_list(rule_reasoner):

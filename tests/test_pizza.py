@@ -24,7 +24,8 @@ from hexar.explainers.pizza import (
     train_tree,
 )
 from hexar.explainers import pizza
-from hexar.trace import ContextVector, Query
+from hexar.framework import explain_hexar
+from hexar.trace import ContextVector, Query, TaskPlan
 
 D = len(INGREDIENTS)
 
@@ -302,27 +303,32 @@ def test_cached_perturbations_are_read_only():
 
 def _pizza_context() -> ContextVector:
     return ContextVector(
-        task="Recommend a pizza",
+        plan=TaskPlan("Recommend a pizza", (), True, ()),
         skills=(("pizza_recommender", "succeeded"),),
-        plan_valid=True,
         window=(0.0, 10.0),
     )
 
 
-def test_explain_pizza_names_recommendation_and_top_ingredient(trace_cache):
+def test_explain_pizza_names_recommendation_and_top_ingredient(
+    trace_cache, registry, rule_reasoner
+):
     trace = trace_cache(20)
     events = trace.by_source({"pizza_recommender"})
     query = Query(text="Why did you pick that pizza?", asked_at=trace.events[-1].ts)
-    explanation = explain_pizza(query, _pizza_context(), events)
-    assert "margherita" in explanation.text
-    assert "because mozzarella was available" in explanation.text
-    assert explanation.reasoner_calls == 0
-    assert explanation.produced_by == "pizza_recommender"
-    assert explanation.text.endswith(
+    text = explain_pizza(query, _pizza_context(), events)
+    assert "margherita" in text
+    assert "because mozzarella was available" in text
+    assert text.endswith(
         "mozzarella (+0.062), basil (-0.019), tomato (-0.028)."
     )
-    again = explain_pizza(query, _pizza_context(), events)
-    assert again.text == explanation.text
+    assert explain_pizza(query, _pizza_context(), events) == text
+    # the classifier's call is the only one: the explainer itself makes none
+    hexar = explain_hexar(query, trace, registry, rule_reasoner)
+    assert (hexar.text, hexar.produced_by, hexar.reasoner_calls) == (
+        text,
+        "pizza_recommender",
+        1,
+    )
 
 
 def test_explain_pizza_requires_events(trace_cache):
@@ -343,6 +349,6 @@ def test_explain_pizza_all_zero_ingredients_reports_default(trace_cache):
         else:
             events.append(event)
     query = Query(text="Why?", asked_at=trace.events[-1].ts)
-    explanation = explain_pizza(query, _pizza_context(), tuple(events))
-    assert "default" in explanation.text
+    text = explain_pizza(query, _pizza_context(), tuple(events))
+    assert "default" in text
     assert ingredients_from_events(tuple(events)) == tuple([0] * D)

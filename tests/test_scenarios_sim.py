@@ -183,3 +183,19 @@ def test_manifest_rejects_bad_files(tmp_path):
     path.write_text("scenario_id,task_variant,query_index\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1,1\n", "line 3: expected 3 fields, found 2"),
+        ("1,1,1,1\n", "line 3: expected 3 fields, found 4"),
+        ('"' + "x" * 200_000 + '",1,1\n', "line 3: field larger than field limit"),
+    ],
+)
+def test_manifest_rejects_malformed_rows_naming_the_line(tmp_path, body, message):
+    path = tmp_path / "manifest.csv"
+    # the blank line is skipped, as before; the malformed row is on file line 3
+    path.write_text("scenario_id,task_variant,query_index\n\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_manifest(path)
