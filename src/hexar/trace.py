@@ -35,7 +35,7 @@ class TraceError(ValueError):
     """Raised for malformed trace files or invariant violations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Event:
     """One timestamped record emitted by a robot module.
 
@@ -49,17 +49,25 @@ class Event:
     kind: str
     payload: dict[str, Scalar]
 
-    def __post_init__(self) -> None:
-        if self.ts < 0:
-            raise TraceError(f"negative event timestamp: {self.ts}")
-        if self.source not in SOURCES:
-            raise TraceError(f"unknown event source: {self.source!r}")
-        if self.kind not in KINDS:
-            raise TraceError(f"unknown event kind: {self.kind!r}")
-        if self.kind == "skill_status":
-            status = self.payload.get("status")
-            if "skill" not in self.payload or status not in STATUSES:
-                raise TraceError(f"malformed skill_status payload: {self.payload!r}")
+    # Hand-written so that a trace line costs one call: the checks run on the
+    # arguments, then the frozen fields are set past ``__setattr__``.
+    def __init__(self, ts: float, source: str, kind: str, payload: dict[str, Scalar]) -> None:
+        if ts < 0:
+            raise TraceError(f"negative event timestamp: {ts}")
+        # tuple membership, not a set: an unhashable value is rejected too
+        if source not in SOURCES:
+            raise TraceError(f"unknown event source: {source!r}")
+        if kind not in KINDS:
+            raise TraceError(f"unknown event kind: {kind!r}")
+        if kind == "skill_status":
+            status = payload.get("status")
+            if "skill" not in payload or status not in STATUSES:
+                raise TraceError(f"malformed skill_status payload: {payload!r}")
+        _set = object.__setattr__
+        _set(self, "ts", ts)
+        _set(self, "source", source)
+        _set(self, "kind", kind)
+        _set(self, "payload", payload)
 
 
 @dataclass(frozen=True)
@@ -257,6 +265,9 @@ def write_trace(trace: Trace, path: str | Path) -> None:
 
 _DECODER = json.JSONDecoder()
 _JSON_WHITESPACE = " \t\n\r"
+# What decoding a line or reading its fields raises on bad input: a huge
+# number overflows int() or float(), deep nesting exhausts the recursion limit.
+_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def _decode_line(raw: str) -> object:
@@ -273,36 +284,53 @@ def _decode_line(raw: str) -> object:
 def read_trace(path: str | Path) -> Trace:
     """Parse a trace file, rejecting malformed lines and timestamp disorder.
 
-    Each line is decoded on its own, so a record split over two lines or two
-    records on one line are rejected.
+    The file is UTF-8 text with one JSON object per ``\\n``-terminated line;
+    blank lines after the header are skipped. Each line is decoded on its
+    own, so a record split over two lines or two records on one line are
+    rejected. Undecodable bytes, over-deep nesting and out-of-range numbers
+    raise ``TraceError`` too.
     """
-    raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw_lines:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not text:
         raise TraceError(f"{path}: empty trace file")
+    # text mode has already turned \r\n and \r into \n; str.splitlines would
+    # also split inside JSON strings holding U+0085, U+2028 or U+2029
+    raw_lines = text.split("\n")
     try:
         header = _decode_line(raw_lines[0])
         scenario_id = int(header["scenario_id"])
         task_variant = int(header["task_variant"])
         seed = int(header["seed"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except _LINE_ERRORS as exc:
         raise TraceError(f"{path}: malformed header at line 1: {exc}") from exc
 
     events: list[Event] = []
     last_ts = 0.0
     for lineno, raw in enumerate(raw_lines[1:], start=2):
-        if not raw.strip():
-            continue
         try:
-            record = _decode_line(raw)
+            # json.loads(raw) makes this same scan when no whitespace leads;
+            # any line the scan does not consume whole (blank, padded, BOM,
+            # extra data, malformed) takes the exact json.loads path instead
+            try:
+                record, end = _DECODER.scan_once(raw, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(raw):
+                if not raw.strip():
+                    continue
+                record = _decode_line(raw)
             event = Event(
-                ts=float(record["ts"]),
-                source=str(record["source"]),
-                kind=str(record["kind"]),
-                payload=dict(record["payload"]),
+                float(record["ts"]),
+                str(record["source"]),
+                str(record["kind"]),
+                dict(record["payload"]),
             )
         except TraceError:
             raise
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except _LINE_ERRORS as exc:
             raise TraceError(f"{path}: malformed event at line {lineno}: {exc}") from exc
         if event.ts < last_ts:
             raise TraceError(

@@ -222,6 +222,33 @@ def test_explain_missing_trace_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+_HEADER_BYTES = b'{"scenario_id": 1, "task_variant": 1, "seed": 0}\n'
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (b"\xff\xfe" + _HEADER_BYTES.decode().encode("utf-16-le"), "not UTF-8 text"),
+        (b"[" * 100_000 + b"\n", "malformed header at line 1"),
+        (_HEADER_BYTES + b"[" * 100_000 + b"\n", "malformed event at line 2"),
+        (_HEADER_BYTES.replace(b"1,", b"1e999,", 1), "malformed header at line 1"),
+        (
+            _HEADER_BYTES + b'{"ts": 1' + b"0" * 400 + b', "source": "system", "kind": "log", '
+            b'"payload": {}}\n',
+            "malformed event at line 2",
+        ),
+    ],
+    ids=["utf-16-bom", "deep-header", "deep-event", "infinite-header-int", "huge-ts"],
+)
+def test_explain_unreadable_trace_is_usage_error(tmp_path, capsys, content, where):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(content)
+    code, _, err = run(["explain", "--trace", str(path), "--query", "Why?"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path}: {where}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("keep", ["header", "no_plan"])
 def test_explain_trace_without_plan_is_usage_error(charger_trace, tmp_path, capsys, keep):
     lines = charger_trace.read_text(encoding="utf-8").splitlines()
