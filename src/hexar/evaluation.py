@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from .framework import ANSWER_ERRORS, ExplainerRegistry, explain_hexar
 from .reasoner import TextReasoner
 from .scenarios import CONTRADICTED_FACTS, get_scenario, read_csv_rows
 from .simulate import generate_trace
-from .stats import cochran_q, holm_adjust, mcnemar
+from .stats import cochran_q, holm_adjust, mcnemar, sample_variance
 from .trace import Explanation, Query, Trace
 
 METHODS = ("hexar", "end_to_end", "all_components")
@@ -231,12 +230,6 @@ def majority_vote(rows: list[AnnotationRow]) -> tuple[list[MetricRow], float]:
     return metrics, (disagreements / cells if cells else 0.0)
 
 
-def _sample_variance(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return statistics.variance(values)
-
-
 def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsReport:
     """Per-method means, Cochran's Q, pairwise McNemar with Holm adjustment."""
     if not records:
@@ -270,7 +263,7 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
                 if r.method == method
             ]
             means[metric][method] = sum(values) / len(values)
-            variances[metric][method] = _sample_variance(values)
+            variances[metric][method] = sample_variance(values)
         if len(methods) >= 2 and matched:
             matrix = [
                 [metric_value(metric, cell[m]) for m in methods] for cell in matched
@@ -296,7 +289,7 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
     call_counts = {}
     for method in methods:
         times = [r.wall_time for r in records if r.method == method]
-        runtime[method] = (sum(times) / len(times), _sample_variance(times))
+        runtime[method] = (sum(times) / len(times), sample_variance(times))
         calls = [r.reasoner_calls for r in records if r.method == method]
         call_counts[method] = sum(calls) / len(calls)
 

@@ -15,6 +15,7 @@ from typing import Callable
 
 from ..framework import ExplainerError
 from ..reasoner import ReasonerError, TextReasoner
+from ..stats import sample_variance
 from ..trace import ContextVector, Event, Query
 
 # Detections closer together than this belong to one contiguous run.
@@ -165,13 +166,6 @@ def _detection_runs(events: tuple[Event, ...]) -> list[list[Event]]:
     return runs
 
 
-def _sample_variance(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-
-
 def extract_variables(events: tuple[Event, ...]) -> HelpVariables:
     """Compute the gate variables from the skill's detection/dialogue events.
 
@@ -189,7 +183,7 @@ def extract_variables(events: tuple[Event, ...]) -> HelpVariables:
         duration = longest[-1].ts - longest[0].ts
         xs = [float(e.payload["human.0.x"]) for e in longest if "human.0.x" in e.payload]
         ys = [float(e.payload["human.0.y"]) for e in longest if "human.0.y" in e.payload]
-        variance = _sample_variance(xs) + _sample_variance(ys)
+        variance = sample_variance(xs) + sample_variance(ys)
 
     distances = [
         float(e.payload["human.0.distance"])

@@ -43,14 +43,9 @@ class LogFilterRules:
             raise ValueError("max_lines must keep at least the first and last line")
 
 
-@functools.lru_cache(maxsize=32)
-def _compile(patterns: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
-    return tuple(re.compile(p) for p in patterns)
-
-
 def _filter_once(lines: list[str], rules: LogFilterRules) -> list[str]:
     kept = lines
-    for pattern in _compile(rules.discard_patterns):
+    for pattern in map(re.compile, rules.discard_patterns):
         kept = [line for line in kept if not pattern.search(line)]
 
     collapsed: list[str] = []

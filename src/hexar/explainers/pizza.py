@@ -61,26 +61,6 @@ class DecisionTree:
     classes: tuple[str, ...]
     n_features: int
 
-    # cached_property writes the instance __dict__ directly, which a frozen
-    # dataclass allows; the table is not a field, so eq, hash and repr ignore it
-    @functools.cached_property
-    def proba_table(self) -> np.ndarray:
-        """Class probabilities of every binary input, shape (n_classes, 2**n_features).
-
-        Column ``code`` holds ``predict_proba`` of the input whose feature ``f``
-        is bit ``f`` of ``code`` (the row order of :func:`binary_cube`).
-        Tabulated on first use and read-only; its size grows as 2**n_features.
-        """
-        cube = binary_cube(self.n_features).astype(int).tolist()
-        table = np.array([predict_proba(self, z) for z in cube]).T.copy()
-        table.flags.writeable = False
-        return table
-
-
-def binary_cube(d: int) -> np.ndarray:
-    """All 2**d binary inputs as float rows; row ``code`` has bit ``f`` of ``code`` at column ``f``."""
-    return ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(float)
-
 
 def _gini(counts: list[int]) -> float:
     total = sum(counts)
@@ -254,24 +234,7 @@ def _top_present(x: tuple[int, ...], weights: np.ndarray) -> str | None:
     return INGREDIENTS[best]
 
 
-@functools.lru_cache(maxsize=16)
-def _perturbations(seed: int, n_samples: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 1..n_samples-1 of the LIME design and their :func:`binary_cube` codes.
-
-    The draws do not depend on the explained instance, so they are made once
-    per ``(seed, n_samples, d)`` with the fair-coin ``rng.randint`` sequence
-    and shared read-only between calls.
-    """
-    rng = random.Random(seed)
-    rows = np.array(
-        [[rng.randint(0, 1) for _ in range(d)] for _ in range(n_samples - 1)], dtype=float
-    ).reshape(n_samples - 1, d)
-    codes = rows.astype(np.int64) @ (1 << np.arange(d))
-    rows.flags.writeable = False
-    codes.flags.writeable = False
-    return rows, codes
-
-
+@functools.lru_cache(maxsize=64)
 def lime_attribute(
     tree: DecisionTree,
     x: tuple[int, ...],
@@ -283,6 +246,8 @@ def lime_attribute(
     Draws fair-coin binary perturbations (the instance itself is sample 0),
     weights them by exp(-(hamming/sqrt(d))^2 / sigma^2) and fits a weighted
     ridge regression of the target-class probability on the perturbations.
+    The result is a pure function of the (hashable) arguments, so the most
+    recent distinct calls are memoized and share one frozen ``Attribution``.
     """
     if target_class not in tree.classes:
         raise ValueError(f"unknown class {target_class!r}")
@@ -290,13 +255,15 @@ def lime_attribute(
         raise ValueError("need at least one perturbation sample")
     d = tree.n_features
     target_idx = tree.classes.index(target_class)
-    # the tree walk for sample 0 also rejects an x of the wrong length
-    own_proba = predict_proba(tree, x)[target_idx]
-    rows, codes = _perturbations(cfg.seed, cfg.n_samples, d)
-    instance = np.array(x, dtype=float)
-    design = np.vstack([instance, rows])
-    target = np.concatenate([[own_proba], tree.proba_table[target_idx][codes]])
-    hamming = np.abs(design - instance).sum(axis=1)
+    rng = random.Random(cfg.seed)
+    samples = [tuple(x)]
+    for _ in range(cfg.n_samples - 1):
+        samples.append(tuple(rng.randint(0, 1) for _ in range(d)))
+
+    # the tree walk of sample 0 also rejects an x of the wrong length
+    target = np.array([predict_proba(tree, z)[target_idx] for z in samples])
+    design = np.array(samples, dtype=float)
+    hamming = np.abs(design - np.array(x, dtype=float)).sum(axis=1)
     sigma = cfg.sigma(d)
     weights = np.exp(-((hamming / math.sqrt(d)) ** 2) / sigma**2)
     coef, intercept = _weighted_ridge(design, target, weights, cfg.regularization)
@@ -317,10 +284,12 @@ def exhaustive_attribution(
     """
     if target_class not in tree.classes:
         raise ValueError(f"unknown class {target_class!r}")
+    d = tree.n_features
     target_idx = tree.classes.index(target_class)
-    design = binary_cube(tree.n_features)
-    target = tree.proba_table[target_idx]
-    coef, intercept = _weighted_ridge(design, target, np.ones(len(design)), 0.0)
+    samples = [tuple((mask >> bit) & 1 for bit in range(d)) for mask in range(2**d)]
+    design = np.array(samples, dtype=float)
+    target = np.array([predict_proba(tree, z)[target_idx] for z in samples])
+    coef, intercept = _weighted_ridge(design, target, np.ones(len(samples)), 0.0)
     return Attribution(
         weights=tuple(float(w) for w in coef),
         intercept=intercept,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -54,6 +55,9 @@ class Event:
     def __init__(self, ts: float, source: str, kind: str, payload: dict[str, Scalar]) -> None:
         if ts < 0:
             raise TraceError(f"negative event timestamp: {ts}")
+        # NaN compares false both ways, so it would slip past every order check
+        if not ts < math.inf:
+            raise TraceError(f"non-finite event timestamp: {ts}")
         # tuple membership, not a set: an unhashable value is rejected too
         if source not in SOURCES:
             raise TraceError(f"unknown event source: {source!r}")
@@ -254,31 +258,25 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     """Serialize a trace, one event per line after a header line.
 
     Output is deterministic: equal traces produce byte-identical files.
+    A lone surrogate in a string cannot be encoded as UTF-8; it is written
+    as its JSON ``\\uXXXX`` escape, which reads back as the same character
+    (a high surrogate directly followed by a low one reads back as the one
+    character that the pair encodes, as in any JSON).
     """
     lines = [
         f'{{"scenario_id": {trace.scenario_id}, "task_variant": {trace.task_variant}, '
         f'"seed": {trace.seed}}}'
     ]
     lines.extend(_format_event(event) for event in trace.events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # every non-ASCII character sits inside a json.dumps string literal, where
+    # the backslash escape of an unencodable surrogate is valid JSON
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", errors="backslashreplace")
 
 
 _DECODER = json.JSONDecoder()
-_JSON_WHITESPACE = " \t\n\r"
 # What decoding a line or reading its fields raises on bad input: a huge
 # number overflows int() or float(), deep nesting exhausts the recursion limit.
 _LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError)
-
-
-def _decode_line(raw: str) -> object:
-    """``json.loads(raw)`` without its per-call wrapper; same errors and positions."""
-    if raw.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
-    value, end = _DECODER.raw_decode(raw, len(raw) - len(raw.lstrip(_JSON_WHITESPACE)))
-    rest = raw[end:].lstrip(_JSON_WHITESPACE)
-    if rest:
-        raise json.JSONDecodeError("Extra data", raw, len(raw) - len(rest))
-    return value
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -300,7 +298,7 @@ def read_trace(path: str | Path) -> Trace:
     # also split inside JSON strings holding U+0085, U+2028 or U+2029
     raw_lines = text.split("\n")
     try:
-        header = _decode_line(raw_lines[0])
+        header = json.loads(raw_lines[0])
         scenario_id = int(header["scenario_id"])
         task_variant = int(header["task_variant"])
         seed = int(header["seed"])
@@ -313,7 +311,8 @@ def read_trace(path: str | Path) -> Trace:
         try:
             # json.loads(raw) makes this same scan when no whitespace leads;
             # any line the scan does not consume whole (blank, padded, BOM,
-            # extra data, malformed) takes the exact json.loads path instead
+            # extra data, malformed) goes to json.loads, which also gives
+            # the exact error
             try:
                 record, end = _DECODER.scan_once(raw, 0)
             except (StopIteration, json.JSONDecodeError):
@@ -321,7 +320,7 @@ def read_trace(path: str | Path) -> Trace:
             if end != len(raw):
                 if not raw.strip():
                     continue
-                record = _decode_line(raw)
+                record = json.loads(raw)
             event = Event(
                 float(record["ts"]),
                 str(record["source"]),

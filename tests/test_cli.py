@@ -249,6 +249,20 @@ def test_explain_unreadable_trace_is_usage_error(tmp_path, capsys, content, wher
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_explain_non_finite_timestamp_is_usage_error(charger_trace, tmp_path, capsys, token):
+    # on the last event, so that no later timestamp trips the order check
+    lines = charger_trace.read_text(encoding="utf-8").splitlines()
+    ts = lines[-1].split(",")[0]
+    assert ts.startswith('{"ts": ')
+    lines[-1] = lines[-1].replace(ts, '{"ts": ' + token, 1)
+    path = tmp_path / "non-finite.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(["explain", "--trace", str(path), "--query", "Why?"], capsys)
+    assert code == 2
+    assert err == f"error: non-finite event timestamp: {float(token)}\n"
+
+
 @pytest.mark.parametrize("keep", ["header", "no_plan"])
 def test_explain_trace_without_plan_is_usage_error(charger_trace, tmp_path, capsys, keep):
     lines = charger_trace.read_text(encoding="utf-8").splitlines()

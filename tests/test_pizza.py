@@ -11,8 +11,6 @@ from hexar.explainers.pizza import (
     PizzaExplainError,
     TreeLeaf,
     TreeNode,
-    _perturbations,
-    binary_cube,
     default_tree,
     exhaustive_attribution,
     explain_pizza,
@@ -263,10 +261,36 @@ def test_lime_attribute_reproduces_the_pinned_draw_sequence():
     assert repr(other.intercept) == "0.2546341825318168"
 
 
-def test_proba_table_matches_tree_walk_over_the_cube():
+def test_lime_attribute_memoizes_each_distinct_call():
     tree = default_tree()
-    for code, z in enumerate(binary_cube(D).astype(int).tolist()):
-        assert tuple(tree.proba_table[:, code]) == predict_proba(tree, z)
+    x = (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
+    lime_attribute.cache_clear()
+    first = lime_attribute(tree, x, "margherita")
+    assert lime_attribute(tree, x, "margherita") is first
+    assert first == lime_attribute.__wrapped__(tree, x, "margherita")
+    # the cache keys on the arguments as passed: an explicit config is its own entry
+    explicit = lime_attribute(tree, x, "margherita", LimeConfig())
+    assert explicit == first
+    assert lime_attribute(tree, x, "margherita", LimeConfig()) is explicit
+    assert lime_attribute.cache_info().hits == 2
+    others = [
+        lime_attribute(tree, (0, 1, 1, 0, 0, 0, 0, 0, 0, 0), "margherita"),
+        lime_attribute(tree, x, "vegetarian"),
+        lime_attribute(tree, x, "margherita", LimeConfig(seed=1)),
+        lime_attribute(tree, x, "margherita", LimeConfig(n_samples=999)),
+    ]
+    assert all(other is not first and other != first for other in others)
+    assert lime_attribute.cache_info().currsize == 6
+    assert lime_attribute.cache_parameters()["maxsize"] is not None
+    # a rejected call is not cached: it raises again every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lime_attribute(tree, x, "calzone")
+        with pytest.raises(ValueError):
+            lime_attribute(tree, x, "margherita", LimeConfig(n_samples=0))
+        with pytest.raises(ValueError):
+            lime_attribute(tree, (1, 0), "margherita")
+    assert lime_attribute.cache_info().currsize == 6
 
 
 def test_default_tree_is_trained_once(monkeypatch, trace_cache):
@@ -285,17 +309,6 @@ def test_default_tree_is_trained_once(monkeypatch, trace_cache):
     explain_pizza(query, _pizza_context(), events)
     assert len(trainings) == 1
     assert default_tree() is default_tree()
-
-
-def test_cached_perturbations_are_read_only():
-    rows, codes = _perturbations(0, 1000, D)
-    assert rows.shape == (999, D)
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        codes[0] = 0
-    with pytest.raises(ValueError):
-        default_tree().proba_table[0, 0] = 0.5
 
 
 # -- trace-facing explanation --------------------------------------------------

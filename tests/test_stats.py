@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexar.stats import chi2_sf, cochran_q, holm_adjust, mcnemar
+from hexar.stats import chi2_sf, cochran_q, holm_adjust, mcnemar, sample_variance
 
 # ---------------------------------------------------------------------------
 # independent oracles (kept deliberately separate from the implementation)
@@ -253,3 +254,14 @@ def test_holm_dominates_raw_and_is_monotone(pvalues):
 def test_holm_rejects_out_of_range():
     with pytest.raises(ValueError):
         holm_adjust([0.5, 1.5])
+
+
+def test_sample_variance_matches_statistics_variance():
+    assert sample_variance([]) == 0.0
+    assert sample_variance([3.5]) == 0.0
+    assert sample_variance([1.0, 1.0, 1.0]) == 0.0
+    assert sample_variance([0, 1, 1, 0]) == pytest.approx(1 / 3, abs=1e-15)
+    rng = random.Random(11)
+    for _ in range(50):
+        values = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(2, 15))]
+        assert sample_variance(values) == pytest.approx(statistics.variance(values), rel=1e-12)

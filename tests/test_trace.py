@@ -134,6 +134,9 @@ def test_floats_use_fixed_six_decimals(tmp_path):
 def test_event_validation():
     cases = [
         ((-1.0, "system", "log", {}), "negative event timestamp: -1.0"),
+        ((float("nan"), "system", "log", {}), "non-finite event timestamp: nan"),
+        ((float("inf"), "system", "log", {}), "non-finite event timestamp: inf"),
+        ((-float("inf"), "system", "log", {}), "negative event timestamp: -inf"),
         ((0.0, "warp_drive", "log", {}), "unknown event source: 'warp_drive'"),
         ((0.0, ["system"], "log", {}), "unknown event source: ['system']"),
         ((0.0, "system", "telepathy", {}), "unknown event kind: 'telepathy'"),
@@ -253,6 +256,17 @@ def test_read_trace_header_error_message(tmp_path):
     )
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_read_trace_rejects_non_finite_timestamps(tmp_path, token):
+    # NaN would also hide the disorder of the 1.0 that follows it
+    path = tmp_path / "non-finite.trace"
+    lines = [_HEADER] + [_EVENT.replace("0.5", ts) for ts in ("2.0", token, "1.0")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceError) as excinfo:
+        read_trace(path)
+    assert str(excinfo.value) == f"non-finite event timestamp: {float(token)}"
+
+
 @pytest.mark.parametrize("line", [" \t" + _EVENT + "\t  ", "\x0c", " \t "])
 def test_read_trace_accepts_padding_and_skips_blank_lines(tmp_path, line):
     path = tmp_path / "padded.trace"
@@ -293,6 +307,17 @@ def test_round_trip_keeps_unicode_line_breaks_in_payload_text(tmp_path_factory, 
     assert read_trace(path) == trace
 
 
+def test_round_trip_escapes_lone_surrogates(tmp_path):
+    # not encodable as UTF-8: each is written as its JSON \uXXXX escape
+    text = "a\ud800\\\udfff\udbff"
+    events = (Event(0.0, "system", "log", {"text": text, "\udc00": 1}),)
+    trace = Trace(scenario_id=1, task_variant=1, seed=0, events=events)
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    assert "\\ud800\\\\\\udfff\\udbff" in path.read_text(encoding="utf-8")
+    assert read_trace(path) == trace
+
+
 @pytest.mark.parametrize("pad", [0, 500])
 def test_read_trace_decodes_only_the_header_the_slow_way(tmp_path, monkeypatch, pad):
     # every event line of write_trace output must take the single-scan path
@@ -306,13 +331,13 @@ def test_read_trace_decodes_only_the_header_the_slow_way(tmp_path, monkeypatch, 
     path = tmp_path / "t.trace"
     write_trace(trace, path)
     calls = []
-    decode = trace_module._decode_line
+    loads = json.loads
 
-    def counting(raw):
+    def counting(raw, *args, **kwargs):
         calls.append(raw)
-        return decode(raw)
+        return loads(raw, *args, **kwargs)
 
-    monkeypatch.setattr(trace_module, "_decode_line", counting)
+    monkeypatch.setattr(trace_module.json, "loads", counting)
     assert read_trace(path) == trace
     assert calls == [path.read_text(encoding="utf-8").split("\n")[0]]
 
