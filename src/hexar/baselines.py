@@ -8,7 +8,7 @@ explainers each contribute.
 
 from __future__ import annotations
 
-from .explainers.navigation import LogFilterRules, filter_logs, situation_catalogue
+from .explainers.navigation import filter_logs, situation_catalogue
 from .explainers.planner import format_plan
 from .framework import (
     ANSWER_ERRORS,
@@ -36,7 +36,6 @@ def build_end_to_end_prompt(
     query: Query,
     trace: Trace,
     registry: ExplainerRegistry,
-    rules: LogFilterRules = LogFilterRules(),
 ) -> str:
     events = end_to_end_view(trace, registry)
     plan = trace.plan
@@ -56,8 +55,7 @@ def build_end_to_end_prompt(
             f"[{event.source}] " + str(event.payload.get("text", ""))
             for event in events
             if event.kind == "log"
-        ],
-        rules,
+        ]
     )
     params = [
         f"- {_format_items(event.payload)}" for event in events if event.kind == "param"

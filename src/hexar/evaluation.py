@@ -366,14 +366,6 @@ def read_results_csv(path: str | Path) -> list[EvalRecord]:
 _ANNOTATION_COLUMNS = ["sample_id", "annotator_id", "root_cause", "incorrect_facts"]
 
 
-def write_annotations_csv(rows: list[AnnotationRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ANNOTATION_COLUMNS)
-        for row in sorted(rows, key=lambda r: (r.sample_id, r.annotator_id)):
-            writer.writerow([row.sample_id, row.annotator_id, row.root_cause, row.incorrect_facts])
-
-
 def read_annotations_csv(path: str | Path) -> list[AnnotationRow]:
     return [
         AnnotationRow(

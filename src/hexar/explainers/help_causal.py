@@ -95,7 +95,7 @@ class CausalHelpModel:
     gates: tuple[Gate, ...]
 
 
-def build_help_model(thresholds: HelpThresholds = HelpThresholds()) -> CausalHelpModel:
+def build_help_model() -> CausalHelpModel:
     gates = (
         Gate(
             "n_humans",
@@ -140,7 +140,10 @@ def build_help_model(thresholds: HelpThresholds = HelpThresholds()) -> CausalHel
             False,
         ),
     )
-    return CausalHelpModel(thresholds=thresholds, gates=gates)
+    return CausalHelpModel(thresholds=HelpThresholds(), gates=gates)
+
+
+HELP_MODEL = build_help_model()
 
 
 def _detection_runs(events: tuple[Event, ...]) -> list[list[Event]]:
@@ -352,21 +355,20 @@ def explain_help(
     context: ContextVector,
     events: tuple[Event, ...],
     reasoner: TextReasoner,
-    thresholds: HelpThresholds = HelpThresholds(),
 ) -> str:
     """Counterfactual explanation on failure, templated answer otherwise."""
     if not any(e.source == "ask_human_for_help" for e in events):
         return "The ask-human-for-help skill was not used in this task."
 
-    model = build_help_model(thresholds)
+    thresholds = HELP_MODEL.thresholds
     try:
         v = extract_variables(events)
     except (TypeError, ValueError, OverflowError) as exc:  # payload values from the trace file
         raise ExplainerError(str(exc)) from exc
-    outcome = evaluate_model(model, v)
+    outcome = evaluate_model(HELP_MODEL, v)
 
     if outcome is not HelpOutcome.SUCCESS:
-        result = counterfactual(model, v, HelpOutcome.SUCCESS)
+        result = counterfactual(HELP_MODEL, v, HelpOutcome.SUCCESS)
         sentence = render_counterfactual(result)
         prompt = _naturalise_prompt(sentence, v, thresholds)
         try:

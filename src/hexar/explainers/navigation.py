@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from importlib import resources
 
 from ..framework import ExplainerError
@@ -24,29 +23,20 @@ _RELEVANT_PARAMS = (
     "localization_covariance",
 )
 
-DEFAULT_DISCARD_PATTERNS = (
+DISCARD_PHRASES = (
     "Controller loop",
     "Publishing velocity",
     "Waiting for costmap",
 )
+_DISCARD = re.compile("|".join(map(re.escape, DISCARD_PHRASES)))
+
+# The context budget, in log lines, of both the navigation prompt and the
+# end-to-end prompt: a longer filtered log keeps its first and last lines.
+MAX_LOG_LINES = 60
 
 
-@dataclass(frozen=True)
-class LogFilterRules:
-    """Order-preserving, idempotent log reduction rules."""
-
-    discard_patterns: tuple[str, ...] = DEFAULT_DISCARD_PATTERNS
-    max_lines: int = 60
-
-    def __post_init__(self) -> None:
-        if self.max_lines < 2:
-            raise ValueError("max_lines must keep at least the first and last line")
-
-
-def _filter_once(lines: list[str], rules: LogFilterRules) -> list[str]:
-    kept = lines
-    for pattern in map(re.compile, rules.discard_patterns):
-        kept = [line for line in kept if not pattern.search(line)]
+def _filter_once(lines: list[str]) -> list[str]:
+    kept = [line for line in lines if not _DISCARD.search(line)]
 
     collapsed: list[str] = []
     run_start = 0
@@ -59,22 +49,23 @@ def _filter_once(lines: list[str], rules: LogFilterRules) -> list[str]:
             collapsed.append(line if count == 1 else f"{line} [x{count}]")
         run_start = i
 
-    if len(collapsed) > rules.max_lines:
-        collapsed = collapsed[: rules.max_lines - 1] + [collapsed[-1]]
+    if len(collapsed) > MAX_LOG_LINES:
+        collapsed = collapsed[: MAX_LOG_LINES - 1] + [collapsed[-1]]
     return collapsed
 
 
-def filter_logs(lines: list[str], rules: LogFilterRules = LogFilterRules()) -> list[str]:
+def filter_logs(lines: list[str]) -> list[str]:
     """Drop known-irrelevant lines, collapse consecutive repeats, cap length.
 
-    Repeats collapse to a single annotated line; when capping, the first and
-    last retained lines always survive. The reduction is applied until it
-    reaches a fixed point (truncation can create a new adjacent duplicate at
-    the seam), which makes the whole operation idempotent.
+    Repeats collapse to a single annotated line; when capping to
+    ``MAX_LOG_LINES``, the first and last retained lines always survive. The
+    reduction is applied until it reaches a fixed point (truncation can
+    create a new adjacent duplicate at the seam), which makes the whole
+    operation idempotent.
     """
     current = list(lines)
     while True:
-        reduced = _filter_once(current, rules)
+        reduced = _filter_once(current)
         if reduced == current:
             return reduced
         current = reduced
@@ -94,17 +85,13 @@ def situation_catalogue() -> str:
     return "\n".join(lines)
 
 
-def build_navigation_prompt(
-    query: Query,
-    events: tuple[Event, ...],
-    rules: LogFilterRules = LogFilterRules(),
-) -> str:
+def build_navigation_prompt(query: Query, events: tuple[Event, ...]) -> str:
     log_lines = [
         str(e.payload.get("text", ""))
         for e in events
         if e.kind == "log" and e.source == "navigation"
     ]
-    filtered = filter_logs(log_lines, rules)
+    filtered = filter_logs(log_lines)
     try:
         params = [
             f"- {e.payload['name']} = {e.payload['value']}"
@@ -126,9 +113,8 @@ def explain_navigation(
     context: ContextVector,
     events: tuple[Event, ...],
     reasoner: TextReasoner,
-    rules: LogFilterRules = LogFilterRules(),
 ) -> str:
     return reasoner.complete_text(
         system_prompt="You explain robot navigation behaviour.",
-        user_prompt=build_navigation_prompt(query, events, rules),
+        user_prompt=build_navigation_prompt(query, events),
     ).text

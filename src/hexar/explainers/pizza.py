@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
+from typing import Sequence
 
 import numpy as np
 
@@ -190,15 +191,8 @@ def default_tree() -> DecisionTree:
 @dataclass(frozen=True)
 class LimeConfig:
     n_samples: int = 1000
-    kernel_width: float | None = None  # defaults to 0.75 * sqrt(d)
     seed: int = 0
     regularization: float = 1e-6
-
-    def sigma(self, d: int) -> float:
-        width = self.kernel_width if self.kernel_width is not None else 0.75 * math.sqrt(d)
-        if width <= 0:
-            raise ValueError("kernel width must be positive")
-        return width
 
 
 @dataclass(frozen=True)
@@ -234,21 +228,28 @@ def _top_present(x: tuple[int, ...], weights: np.ndarray) -> str | None:
     return INGREDIENTS[best]
 
 
-@functools.lru_cache(maxsize=64)
 def lime_attribute(
     tree: DecisionTree,
-    x: tuple[int, ...],
+    x: Sequence[int],
     target_class: str,
     cfg: LimeConfig = LimeConfig(),
 ) -> Attribution:
     """Local surrogate attribution of the tree's class probability at ``x``.
 
     Draws fair-coin binary perturbations (the instance itself is sample 0),
-    weights them by exp(-(hamming/sqrt(d))^2 / sigma^2) and fits a weighted
-    ridge regression of the target-class probability on the perturbations.
-    The result is a pure function of the (hashable) arguments, so the most
-    recent distinct calls are memoized and share one frozen ``Attribution``.
+    weights them by exp(-(hamming/sqrt(d))^2 / sigma^2) with
+    sigma = 0.75 * sqrt(d) and fits a weighted ridge regression of the
+    target-class probability on the perturbations. The result is a pure
+    function of the arguments, so the most recent distinct calls are
+    memoized and share one frozen ``Attribution``.
     """
+    return _lime_attribute(tree, tuple(x), target_class, cfg)
+
+
+@functools.lru_cache(maxsize=64)
+def _lime_attribute(
+    tree: DecisionTree, x: tuple[int, ...], target_class: str, cfg: LimeConfig
+) -> Attribution:
     if target_class not in tree.classes:
         raise ValueError(f"unknown class {target_class!r}")
     if cfg.n_samples < 1:
@@ -256,7 +257,7 @@ def lime_attribute(
     d = tree.n_features
     target_idx = tree.classes.index(target_class)
     rng = random.Random(cfg.seed)
-    samples = [tuple(x)]
+    samples = [x]
     for _ in range(cfg.n_samples - 1):
         samples.append(tuple(rng.randint(0, 1) for _ in range(d)))
 
@@ -264,13 +265,13 @@ def lime_attribute(
     target = np.array([predict_proba(tree, z)[target_idx] for z in samples])
     design = np.array(samples, dtype=float)
     hamming = np.abs(design - np.array(x, dtype=float)).sum(axis=1)
-    sigma = cfg.sigma(d)
+    sigma = 0.75 * math.sqrt(d)
     weights = np.exp(-((hamming / math.sqrt(d)) ** 2) / sigma**2)
     coef, intercept = _weighted_ridge(design, target, weights, cfg.regularization)
     return Attribution(
         weights=tuple(float(w) for w in coef),
         intercept=intercept,
-        top_present_ingredient=_top_present(tuple(x), coef),
+        top_present_ingredient=_top_present(x, coef),
     )
 
 
@@ -316,8 +317,6 @@ def explain_pizza(
     context: ContextVector,
     events: tuple[Event, ...],
     reasoner=None,
-    tree: DecisionTree | None = None,
-    cfg: LimeConfig = LimeConfig(),
 ) -> str:
     """Template the recommendation rationale from the surrogate ranking.
 
@@ -329,10 +328,10 @@ def explain_pizza(
         raise PizzaExplainError("no ingredient availability event in view")
     if recommended is None:
         raise PizzaExplainError("no recommendation dialogue event in view")
-    tree = tree if tree is not None else default_tree()
+    tree = default_tree()
     if recommended not in tree.classes:
         raise PizzaExplainError(f"recommendation {recommended!r} is not a known pizza class")
-    attribution = lime_attribute(tree, x, recommended, cfg)
+    attribution = lime_attribute(tree, x, recommended)
     if attribution.top_present_ingredient is None:
         return (
             f"I recommended {recommended} as the default choice: no ingredients "

@@ -44,7 +44,6 @@ class ReasonerRequest:
     system_prompt: str
     user_prompt: str
     max_tokens: int = 512
-    temperature: float = 0.0  # evaluation runs are greedy
 
 
 @dataclass(frozen=True)
@@ -240,8 +239,8 @@ class RemoteReasoner(TextReasoner):
     """Client for an OpenAI-style chat-completion HTTP endpoint.
 
     Endpoint and model come from ``HEXAR_REASONER_URL`` /
-    ``HEXAR_REASONER_MODEL`` unless given explicitly. The request
-    temperature is forwarded unchanged. Uses the standard library only.
+    ``HEXAR_REASONER_MODEL`` unless given explicitly. Decoding is greedy
+    (temperature 0), as evaluation runs need. Uses the standard library only.
     """
 
     def __init__(
@@ -274,7 +273,7 @@ class RemoteReasoner(TextReasoner):
                 {"role": "system", "content": request.system_prompt},
                 {"role": "user", "content": request.user_prompt},
             ],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_tokens,
         }
         http_request = urllib.request.Request(
@@ -301,33 +300,28 @@ class RemoteReasoner(TextReasoner):
         return ReasonerResponse(text=str(text), latency=elapsed, token_count=tokens)
 
 
+# Modelled cost of one completion: answer generation, plus prompt ingestion.
+SECONDS_PER_CALL = 2.0
+SECONDS_PER_100_CHARS = 0.25
+
+
 class LatencyModelReasoner(TextReasoner):
     """Wrap a reasoner and report deterministic, prompt-size-based latency.
 
-    The latency is virtual (never slept): a fixed per-call cost (answer
-    generation) plus a fixed number of seconds per 100 prompt characters
-    (prompt ingestion), so both extra calls and large-context prompts cost
-    measurably more.
+    The latency is virtual (never slept): ``SECONDS_PER_CALL`` plus
+    ``SECONDS_PER_100_CHARS`` per 100 prompt characters, so both extra
+    calls and large-context prompts cost measurably more.
     """
 
-    def __init__(
-        self,
-        inner: TextReasoner,
-        seconds_per_100_chars: float = 0.25,
-        seconds_per_call: float = 2.0,
-    ) -> None:
-        if seconds_per_100_chars < 0 or seconds_per_call < 0:
-            raise ValueError("latency parameters must be non-negative")
+    def __init__(self, inner: TextReasoner) -> None:
         self.inner = inner
-        self.seconds_per_100_chars = seconds_per_100_chars
-        self.seconds_per_call = seconds_per_call
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         response = self.inner.complete(request)
         chars = len(request.system_prompt) + len(request.user_prompt)
         return ReasonerResponse(
             text=response.text,
-            latency=self.seconds_per_call + self.seconds_per_100_chars * chars / 100.0,
+            latency=SECONDS_PER_CALL + SECONDS_PER_100_CHARS * chars / 100.0,
             token_count=response.token_count,
         )
 

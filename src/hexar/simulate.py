@@ -454,7 +454,7 @@ def generate_trace(scenario_id: int, task_variant: int, seed: int) -> Trace:
     )
 
 
-def replay_fsm(trace: Trace, thresholds: HelpThresholds = _THRESHOLDS) -> HelpOutcome:
+def replay_fsm(trace: Trace) -> HelpOutcome:
     """Re-execute the help skill's gate logic over the raw event stream.
 
     Independent of the causal model: walks detections/dialogue in order and
@@ -483,7 +483,7 @@ def replay_fsm(trace: Trace, thresholds: HelpThresholds = _THRESHOLDS) -> HelpOu
                 assert run_start is not None
                 best_span = max(best_span, event.ts - run_start)
                 distance = event.payload.get("human.0.distance")
-                if distance is not None and float(distance) <= thresholds.d_max:
+                if distance is not None and float(distance) <= _THRESHOLDS.d_max:
                     near_enough = True
             else:
                 run_start = None
@@ -500,7 +500,7 @@ def replay_fsm(trace: Trace, thresholds: HelpThresholds = _THRESHOLDS) -> HelpOu
         return HelpOutcome.NO_HUMAN_FOUND
     if not near_enough:
         return HelpOutcome.HUMAN_TOO_FAR
-    if best_span < thresholds.t_stable:
+    if best_span < _THRESHOLDS.t_stable:
         return HelpOutcome.UNSTABLE_DETECTION
     if not path_ok:
         return HelpOutcome.APPROACH_FAILED

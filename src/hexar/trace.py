@@ -327,8 +327,6 @@ def read_trace(path: str | Path) -> Trace:
                 str(record["kind"]),
                 dict(record["payload"]),
             )
-        except TraceError:
-            raise
         except _LINE_ERRORS as exc:
             raise TraceError(f"{path}: malformed event at line {lineno}: {exc}") from exc
         if event.ts < last_ts:

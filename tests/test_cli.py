@@ -260,7 +260,10 @@ def test_explain_non_finite_timestamp_is_usage_error(charger_trace, tmp_path, ca
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, _, err = run(["explain", "--trace", str(path), "--query", "Why?"], capsys)
     assert code == 2
-    assert err == f"error: non-finite event timestamp: {float(token)}\n"
+    assert err == (
+        f"error: {path}: malformed event at line {len(lines)}: "
+        f"non-finite event timestamp: {float(token)}\n"
+    )
 
 
 @pytest.mark.parametrize("keep", ["header", "no_plan"])

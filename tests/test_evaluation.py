@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from hexar.evaluation import (
     read_results_csv,
     render_report,
     run_grid,
-    write_annotations_csv,
     write_results_csv,
 )
 from hexar.reasoner import LatencyModelReasoner, RuleReasoner, TextReasoner
@@ -143,6 +143,40 @@ def test_every_answer_is_billed_for_every_reasoner_call(method, registry, specs_
         assert explanation.reasoner_calls == oracle.calls, point
         assert explanation.wall_time >= oracle.latency, point
         assert (oracle.latency > 0) == (oracle.calls > 0), point
+
+
+class FingerprintReasoner(TextReasoner):
+    """Feeds every request and response it passes on into one digest."""
+
+    def __init__(self, digest):
+        self.inner = LatencyModelReasoner(RuleReasoner())
+        self.digest = digest
+
+    def complete(self, request):
+        self.digest.update(
+            repr((request.system_prompt, request.user_prompt, request.max_tokens)).encode()
+        )
+        response = self.inner.complete(request)
+        self.digest.update(repr((response.text, response.latency)).encode())
+        return response
+
+
+def test_seed_0_grid_output_fingerprint_is_pinned():
+    """Every prompt, response, modelled latency and answer of the seed 0 grid.
+
+    A change meant to keep outputs byte-identical keeps this digest; a change
+    that alters an output on purpose re-pins it and says so in CHANGES.md.
+    """
+    digest = hashlib.sha256()
+    records = run_grid(list(METHODS), grid_triples(), FingerprintReasoner(digest), seed=0)
+    for r in records:
+        digest.update(
+            repr((r.sample_id, r.explanation_text, r.produced_by, r.reasoner_calls, r.selected_ok))
+            .encode()
+        )
+    assert digest.hexdigest() == (
+        "1290743aa1806ef1e9847a8167f7ce65a0ad9b8c087b5b46944ba3ed46130541"
+    )
 
 
 # -- annotation --------------------------------------------------------------
@@ -328,5 +362,9 @@ def test_results_csv_rejects_wrong_columns(tmp_path):
 def test_annotations_csv_round_trip(tmp_path):
     rows = [AnnotationRow("s1", i, 1, 0) for i in (1, 2, 3)]
     path = tmp_path / "ann.csv"
-    write_annotations_csv(rows, path)
+    path.write_text(
+        "sample_id,annotator_id,root_cause,incorrect_facts\r\n"
+        + "".join(f"s1,{i},1,0\r\n" for i in (1, 2, 3)),
+        encoding="utf-8",
+    )
     assert read_annotations_csv(path) == rows

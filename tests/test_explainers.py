@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexar.explainers.navigation import (
-    LogFilterRules,
+    MAX_LOG_LINES,
     build_navigation_prompt,
     explain_navigation,
     filter_logs,
@@ -113,48 +112,52 @@ def test_tts_no_problem_without_events(trace_cache, registry, rule_reasoner):
 
 
 def test_filter_collapses_repeats_with_count():
-    lines = ["Controller loop tick"] * 100
-    rules = LogFilterRules(discard_patterns=(), max_lines=60)
-    assert filter_logs(lines, rules) == ["Controller loop tick [x100]"]
+    lines = ["Following path"] * 100
+    assert filter_logs(lines) == ["Following path [x100]"]
 
 
 def test_filter_empty_input():
-    assert filter_logs([], LogFilterRules()) == []
+    assert filter_logs([]) == []
 
 
 def test_filter_keeps_unmatched_lines_unchanged():
     lines = ["alpha", "beta", "gamma"]
-    assert filter_logs(lines, LogFilterRules()) == lines
+    assert filter_logs(lines) == lines
 
 
 def test_filter_discards_known_patterns():
     lines = ["Goal accepted", "Publishing velocity command", "Goal reached"]
-    assert filter_logs(lines, LogFilterRules()) == ["Goal accepted", "Goal reached"]
+    assert filter_logs(lines) == ["Goal accepted", "Goal reached"]
 
 
 def test_filter_truncation_keeps_first_and_last():
     lines = [f"line {i}" for i in range(100)]
-    rules = LogFilterRules(discard_patterns=(), max_lines=10)
-    out = filter_logs(lines, rules)
-    assert len(out) == 10
-    assert out[0] == "line 0"
-    assert out[-1] == "line 99"
+    out = filter_logs(lines)
+    assert MAX_LOG_LINES == 60
+    assert out == lines[:59] + ["line 99"]
+
+
+def test_filter_collapses_the_repeat_that_truncation_creates_at_the_seam():
+    lines = [f"line {i}" for i in range(58)] + ["x", "y", "x"]
+    assert filter_logs(lines) == lines[:58] + ["x [x2]"]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.sampled_from(["a", "b", "Following path", "Controller loop"]), max_size=40))
+@given(
+    st.lists(
+        st.sampled_from(["a", "b", "c", "Following path", "Controller loop"]), max_size=200
+    )
+)
 def test_filter_is_idempotent_and_never_grows(lines):
-    rules = LogFilterRules(max_lines=10)
-    once = filter_logs(lines, rules)
-    assert filter_logs(once, rules) == once
-    assert len(once) <= len(lines)
+    once = filter_logs(lines)
+    assert filter_logs(once) == once
+    assert len(once) <= min(len(lines), MAX_LOG_LINES)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.text(alphabet="xyz", min_size=1, max_size=3), max_size=30))
 def test_filter_preserves_relative_order(lines):
-    rules = LogFilterRules(discard_patterns=(), max_lines=1000)
-    out = filter_logs(lines, rules)
+    out = filter_logs(lines)
     stripped = [line.split(" [x")[0] for line in out]
     it = iter(lines)
     assert all(any(line == candidate for candidate in it) for line in stripped)
@@ -198,8 +201,3 @@ def test_navigation_prompt_contains_catalogue_params_and_query(trace_cache):
     assert "## Known situations" in prompt
     assert "charger_connected = True" in prompt
     assert query.text in prompt
-
-
-def test_log_filter_rules_validate():
-    with pytest.raises(ValueError):
-        LogFilterRules(max_lines=1)

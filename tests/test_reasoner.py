@@ -169,27 +169,17 @@ def test_section_matches_the_regex_definition_on_every_grid_prompt(rule_reasoner
             assert _section(prompt, name) == _section_oracle(prompt, name)
 
 
-def test_default_temperature_is_greedy():
-    request = ReasonerRequest(system_prompt="s", user_prompt="u")
-    assert request.temperature == 0.0
-
-
 # -- latency model ------------------------------------------------------------
 
 
 def test_latency_model_is_linear_in_prompt_size(rule_reasoner):
-    double = LatencyModelReasoner(rule_reasoner, seconds_per_100_chars=0.5, seconds_per_call=2.0)
+    model = LatencyModelReasoner(rule_reasoner)
     prompt = CLASSIFY_PROMPT.format(query="Why did you pick that pizza?")
-    response = double.complete_text("sys", prompt)
-    expected = 2.0 + 0.5 * (len("sys") + len(prompt)) / 100.0
+    response = model.complete_text("sys", prompt)
+    expected = 2.0 + 0.25 * (len("sys") + len(prompt)) / 100.0
     assert response.latency == pytest.approx(expected, abs=1e-12)
     assert response.text == "pizza_recommender"
     assert response.token_count == rule_reasoner.complete_text("sys", prompt).token_count
-
-
-def test_latency_model_rejects_negative_rates(rule_reasoner):
-    with pytest.raises(ValueError):
-        LatencyModelReasoner(rule_reasoner, seconds_per_100_chars=-1.0)
 
 
 def test_make_reasoner_factory():
@@ -243,7 +233,7 @@ def test_remote_reasoner_round_trip(chat_server):
     assert response.latency >= 0.0
     body = _ChatHandler.seen[0]
     assert body["model"] == "tiny-model"
-    assert body["temperature"] == 0.0  # forwarded unchanged
+    assert body["temperature"] == 0.0  # greedy decoding
     assert body["max_tokens"] == 64
     assert body["messages"] == [
         {"role": "system", "content": "sys"},

@@ -264,7 +264,9 @@ def test_read_trace_rejects_non_finite_timestamps(tmp_path, token):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(TraceError) as excinfo:
         read_trace(path)
-    assert str(excinfo.value) == f"non-finite event timestamp: {float(token)}"
+    assert str(excinfo.value) == (
+        f"{path}: malformed event at line 3: non-finite event timestamp: {float(token)}"
+    )
 
 
 @pytest.mark.parametrize("line", [" \t" + _EVENT + "\t  ", "\x0c", " \t "])
@@ -383,8 +385,6 @@ def oracle_read_trace(path: str | Path) -> Trace:
                 kind=str(record["kind"]),
                 payload=dict(record["payload"]),
             )
-        except TraceError:
-            raise
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"{path}: malformed event at line {lineno}: {exc}") from exc
         if event.ts < last_ts:
