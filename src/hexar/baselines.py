@@ -9,7 +9,7 @@ explainers each contribute.
 from __future__ import annotations
 
 from .explainers.navigation import filter_logs, situation_catalogue
-from .explainers.planner import format_plan
+from .explainers.planner import format_items, format_plan
 from .framework import (
     ANSWER_ERRORS,
     ExplainerRegistry,
@@ -28,10 +28,6 @@ def end_to_end_view(trace: Trace, registry: ExplainerRegistry) -> tuple[Event, .
     return trace.by_source(union)
 
 
-def _format_items(payload: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in sorted(payload.items()))
-
-
 def build_end_to_end_prompt(
     query: Query,
     trace: Trace,
@@ -47,7 +43,7 @@ def build_end_to_end_prompt(
             extra = {
                 k: v for k, v in event.payload.items() if k not in ("skill", "status")
             }
-            suffix = f" ({_format_items(extra)})" if extra else ""
+            suffix = f" ({format_items(extra)})" if extra else ""
             statuses.append(f"- {event.payload['skill']}: {event.payload['status']}{suffix}")
 
     logs = filter_logs(
@@ -58,10 +54,10 @@ def build_end_to_end_prompt(
         ]
     )
     params = [
-        f"- {_format_items(event.payload)}" for event in events if event.kind == "param"
+        f"- {format_items(event.payload)}" for event in events if event.kind == "param"
     ]
     other = [
-        f"- {event.ts:.2f} {event.source} {event.kind}: {_format_items(event.payload)}"
+        f"- {event.ts:.2f} {event.source} {event.kind}: {format_items(event.payload)}"
         for event in events
         if event.kind in ("detection", "dialogue")
     ]

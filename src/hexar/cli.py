@@ -37,7 +37,10 @@ def _fail(message: str) -> int:
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
     if args.manifest_out:
-        write_manifest(args.manifest_out)
+        try:
+            write_manifest(args.manifest_out)
+        except OSError as exc:
+            return _fail(str(exc))
     specs = list_scenarios()
     if args.id is not None:
         if not 1 <= args.id <= len(specs):
@@ -56,7 +59,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = generate_trace(args.scenario, args.task, args.seed)
     except ValueError as exc:
         return _fail(str(exc))
-    write_trace(trace, args.out)
+    try:
+        write_trace(trace, args.out)
+    except OSError as exc:
+        return _fail(str(exc))
     print(f"wrote {len(trace.events)} events to {args.out}")
     return EXIT_OK
 
@@ -119,7 +125,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (ValueError, ReasonerError) as exc:
         return _fail(str(exc))
     records = evaluation.run_grid(methods, triples, reasoner, args.seed, jobs=args.jobs)
-    evaluation.write_results_csv(records, args.out)
+    try:
+        evaluation.write_results_csv(records, args.out)
+    except OSError as exc:
+        return _fail(str(exc))
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 

@@ -20,6 +20,9 @@ from ..trace import ContextVector, Event, Query
 
 # Detections closer together than this belong to one contiguous run.
 DETECTION_GAP = 0.5
+T_STABLE = 2.0  # seconds of contiguous detection required
+D_MAX = 3.0  # metres within which a person can be asked
+VAR_MAX = 0.25  # position variance (m^2) considered socially fine
 
 COUNTERFACTUAL_TEMPLATE = (
     "{Y} occurred because {X} = {x}. If {X} = {x_star}, {Y_star} would have occurred instead."
@@ -40,17 +43,6 @@ class HelpResponse(str, Enum):
     AGREE = "agree"
     REFUSE = "refuse"
     NONE = "none"
-
-
-@dataclass(frozen=True)
-class HelpThresholds:
-    t_stable: float = 2.0   # seconds of contiguous detection required
-    d_max: float = 3.0      # metres within which a person can be asked
-    var_max: float = 0.25   # position variance (m^2) considered socially fine
-
-    def __post_init__(self) -> None:
-        if min(self.t_stable, self.d_max, self.var_max) <= 0:
-            raise ValueError("thresholds must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -80,70 +72,57 @@ class HelpVariables:
 @dataclass(frozen=True)
 class Gate:
     variable: str
-    predicate: Callable[[HelpVariables, HelpThresholds], bool]
+    predicate: Callable[[HelpVariables], bool]
     failure: HelpOutcome
-    # value on the passing side of the predicate boundary
-    passing_value: Callable[[HelpVariables, HelpThresholds], object]
+    passing_value: object  # value on the passing side of the predicate boundary
     failing_value: object
 
 
-@dataclass(frozen=True)
-class CausalHelpModel:
-    """Ordered gates mirroring the skill's state machine."""
-
-    thresholds: HelpThresholds
-    gates: tuple[Gate, ...]
-
-
-def build_help_model() -> CausalHelpModel:
-    gates = (
-        Gate(
-            "n_humans",
-            lambda v, t: v.n_humans >= 1,
-            HelpOutcome.NO_HUMAN_FOUND,
-            lambda v, t: 1,
-            0,
-        ),
-        Gate(
-            "min_distance",
-            lambda v, t: v.min_distance is not None and v.min_distance <= t.d_max,
-            HelpOutcome.HUMAN_TOO_FAR,
-            lambda v, t: t.d_max,
-            None,
-        ),
-        Gate(
-            "detection_duration",
-            lambda v, t: v.detection_duration >= t.t_stable,
-            HelpOutcome.UNSTABLE_DETECTION,
-            lambda v, t: t.t_stable,
-            0.0,
-        ),
-        Gate(
-            "path_feasible",
-            lambda v, t: v.path_feasible,
-            HelpOutcome.APPROACH_FAILED,
-            lambda v, t: True,
-            False,
-        ),
-        Gate(
-            "response",
-            lambda v, t: v.response is HelpResponse.AGREE,
-            HelpOutcome.HELP_REFUSED,
-            lambda v, t: HelpResponse.AGREE,
-            HelpResponse.REFUSE,
-        ),
-        Gate(
-            "confirmation",
-            lambda v, t: v.confirmation,
-            HelpOutcome.NO_CONFIRMATION,
-            lambda v, t: True,
-            False,
-        ),
-    )
-    return CausalHelpModel(thresholds=HelpThresholds(), gates=gates)
-
-
-HELP_MODEL = build_help_model()
+# Ordered gates mirroring the skill's state machine.
+GATES = (
+    Gate(
+        "n_humans",
+        lambda v: v.n_humans >= 1,
+        HelpOutcome.NO_HUMAN_FOUND,
+        1,
+        0,
+    ),
+    Gate(
+        "min_distance",
+        lambda v: v.min_distance is not None and v.min_distance <= D_MAX,
+        HelpOutcome.HUMAN_TOO_FAR,
+        D_MAX,
+        None,
+    ),
+    Gate(
+        "detection_duration",
+        lambda v: v.detection_duration >= T_STABLE,
+        HelpOutcome.UNSTABLE_DETECTION,
+        T_STABLE,
+        0.0,
+    ),
+    Gate(
+        "path_feasible",
+        lambda v: v.path_feasible,
+        HelpOutcome.APPROACH_FAILED,
+        True,
+        False,
+    ),
+    Gate(
+        "response",
+        lambda v: v.response is HelpResponse.AGREE,
+        HelpOutcome.HELP_REFUSED,
+        HelpResponse.AGREE,
+        HelpResponse.REFUSE,
+    ),
+    Gate(
+        "confirmation",
+        lambda v: v.confirmation,
+        HelpOutcome.NO_CONFIRMATION,
+        True,
+        False,
+    ),
+)
 
 
 def _detection_runs(events: tuple[Event, ...]) -> list[list[Event]]:
@@ -228,10 +207,10 @@ def extract_variables(events: tuple[Event, ...]) -> HelpVariables:
     )
 
 
-def evaluate_model(model: CausalHelpModel, v: HelpVariables) -> HelpOutcome:
+def evaluate_model(v: HelpVariables) -> HelpOutcome:
     """Outcome of the first failing gate, in state-machine order."""
-    for gate in model.gates:
-        if not gate.predicate(v, model.thresholds):
+    for gate in GATES:
+        if not gate.predicate(v):
             return gate.failure
     return HelpOutcome.SUCCESS
 
@@ -255,17 +234,15 @@ class MultiCauseError(RuntimeError):
         )
 
 
-def _gate_index(model: CausalHelpModel, outcome: HelpOutcome) -> int:
-    for i, gate in enumerate(model.gates):
+def _gate_index(outcome: HelpOutcome) -> int:
+    for i, gate in enumerate(GATES):
         if gate.failure is outcome:
             return i
-    return len(model.gates)  # success sits past the last gate
+    return len(GATES)  # success sits past the last gate
 
 
 def counterfactual(
-    model: CausalHelpModel,
-    v: HelpVariables,
-    desired: HelpOutcome = HelpOutcome.SUCCESS,
+    v: HelpVariables, desired: HelpOutcome = HelpOutcome.SUCCESS
 ) -> CounterfactualResult:
     """Minimal single-variable intervention toward ``desired``.
 
@@ -275,34 +252,28 @@ def counterfactual(
     failure outcome, the gate separating the realized and desired outcomes
     is targeted instead.
     """
-    realized = evaluate_model(model, v)
+    realized = evaluate_model(v)
     if realized is desired:
         raise ValueError(f"realized outcome already equals desired ({desired.value})")
 
-    realized_idx = _gate_index(model, realized)
-    desired_idx = _gate_index(model, desired)
+    realized_idx = _gate_index(realized)
+    desired_idx = _gate_index(desired)
 
     if desired_idx < realized_idx:
         # Make an earlier (currently passing) gate fail.
-        gate = model.gates[desired_idx]
+        gate = GATES[desired_idx]
         observed = getattr(v, gate.variable)
         intervened = replace(v, **{gate.variable: gate.failing_value})
-        resulting = evaluate_model(model, intervened)
+        resulting = evaluate_model(intervened)
         return CounterfactualResult(realized, gate.variable, observed, gate.failing_value, resulting)
 
-    gate = model.gates[realized_idx]
+    gate = GATES[realized_idx]
     observed = getattr(v, gate.variable)
-    boundary = gate.passing_value(v, model.thresholds)
-    intervened = replace(v, **{gate.variable: boundary})
-    resulting = evaluate_model(model, intervened)
+    intervened = replace(v, **{gate.variable: gate.passing_value})
+    resulting = evaluate_model(intervened)
     if desired is not HelpOutcome.SUCCESS and resulting is not desired:
-        failing = [
-            g.variable
-            for g in model.gates[: desired_idx]
-            if not g.predicate(v, model.thresholds)
-        ]
-        raise MultiCauseError(failing)
-    return CounterfactualResult(realized, gate.variable, observed, boundary, resulting)
+        raise MultiCauseError([g.variable for g in GATES[:desired_idx] if not g.predicate(v)])
+    return CounterfactualResult(realized, gate.variable, observed, gate.passing_value, resulting)
 
 
 def render_counterfactual(result: CounterfactualResult) -> str:
@@ -328,7 +299,7 @@ def render_counterfactual(result: CounterfactualResult) -> str:
     )
 
 
-def _naturalise_prompt(sentence: str, v: HelpVariables, thresholds: HelpThresholds) -> str:
+def _naturalise_prompt(sentence: str, v: HelpVariables) -> str:
     return (
         "Rephrase the following counterfactual finding about the ask-human-for-help "
         "skill as one natural sentence addressed to the user. Keep every fact; add none.\n"
@@ -338,7 +309,7 @@ def _naturalise_prompt(sentence: str, v: HelpVariables, thresholds: HelpThreshol
         f"n_humans = {v.n_humans}\n"
         f"min_distance = {'absent' if v.min_distance is None else f'{v.min_distance:.2f}'}\n"
         f"detection_duration = {v.detection_duration:.2f}\n"
-        f"thresholds: d_max = {thresholds.d_max:.2f}, t_stable = {thresholds.t_stable:.2f}\n"
+        f"thresholds: d_max = {D_MAX:.2f}, t_stable = {T_STABLE:.2f}\n"
     )
 
 
@@ -360,17 +331,13 @@ def explain_help(
     if not any(e.source == "ask_human_for_help" for e in events):
         return "The ask-human-for-help skill was not used in this task."
 
-    thresholds = HELP_MODEL.thresholds
     try:
         v = extract_variables(events)
     except (TypeError, ValueError, OverflowError) as exc:  # payload values from the trace file
         raise ExplainerError(str(exc)) from exc
-    outcome = evaluate_model(HELP_MODEL, v)
-
-    if outcome is not HelpOutcome.SUCCESS:
-        result = counterfactual(HELP_MODEL, v, HelpOutcome.SUCCESS)
-        sentence = render_counterfactual(result)
-        prompt = _naturalise_prompt(sentence, v, thresholds)
+    if evaluate_model(v) is not HelpOutcome.SUCCESS:
+        sentence = render_counterfactual(counterfactual(v))
+        prompt = _naturalise_prompt(sentence, v)
         try:
             return reasoner.complete_text(
                 system_prompt="You turn structured robot findings into plain language.",
@@ -380,11 +347,11 @@ def explain_help(
             # the raw counterfactual sentence still answers the question
             return f"{sentence} [counterfactual template; naturalisation unavailable]"
 
-    if v.detection_variance > thresholds.var_max:
+    if v.detection_variance > VAR_MAX:
         return (
             "I completed the task, but I may have approached the person poorly "
             "due to high variance in the person's detection "
-            f"({v.detection_variance:.2f} m² against a tolerance of {thresholds.var_max:.2f} m²)."
+            f"({v.detection_variance:.2f} m² against a tolerance of {VAR_MAX:.2f} m²)."
         )
     replans = _approach_replans(events)
     if replans > 0:

@@ -6,12 +6,14 @@ from ..reasoner import TextReasoner, load_prompt_template
 from ..trace import ContextVector, Event, Query, TaskPlan
 
 
+def format_items(items: dict) -> str:
+    """``k=v`` pairs sorted by key, comma-separated."""
+    return ", ".join(f"{k}={v}" for k, v in sorted(items.items()))
+
+
 def format_plan(plan: TaskPlan) -> tuple[str, str]:
     """The plan's step list and its grounding-errors section (empty when none)."""
-    steps = []
-    for step in plan.steps:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(step.params.items()))
-        steps.append(f"- {step.skill}({params})")
+    steps = [f"- {step.skill}({format_items(step.params)})" for step in plan.steps]
     grounding = ""
     if plan.grounding_errors:
         listed = "\n".join(f"- {err}" for err in plan.grounding_errors)

@@ -50,7 +50,6 @@ class ReasonerRequest:
 class ReasonerResponse:
     text: str
     latency: float = 0.0
-    token_count: int = 0
 
 
 class TextReasoner:
@@ -128,7 +127,7 @@ class RuleReasoner(TextReasoner):
             text = self._planner(prompt)
         else:
             raise NoMatchError("no deterministic rule matches this prompt")
-        return ReasonerResponse(text=text, latency=0.0, token_count=len(text.split()))
+        return ReasonerResponse(text=text, latency=0.0)
 
     # -- prompt family handlers -------------------------------------------
 
@@ -288,16 +287,11 @@ class RemoteReasoner(TextReasoner):
             with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
                 payload = json.loads(response.read())
             text = payload["choices"][0]["message"]["content"]
-            usage = payload.get("usage")
-            tokens = int(usage.get("total_tokens", 0)) if isinstance(usage, dict) else 0
         except (OSError, http.client.HTTPException) as exc:
             raise RemoteReasonerError(f"chat-completion request failed: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise RemoteReasonerError(f"malformed chat-completion response: {exc}") from exc
-        elapsed = time.perf_counter() - start
-        if not tokens:
-            tokens = len(str(text).split())
-        return ReasonerResponse(text=str(text), latency=elapsed, token_count=tokens)
+        return ReasonerResponse(text=str(text), latency=time.perf_counter() - start)
 
 
 # Modelled cost of one completion: answer generation, plus prompt ingestion.
@@ -322,7 +316,6 @@ class LatencyModelReasoner(TextReasoner):
         return ReasonerResponse(
             text=response.text,
             latency=SECONDS_PER_CALL + SECONDS_PER_100_CHARS * chars / 100.0,
-            token_count=response.token_count,
         )
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 
-from .explainers.help_causal import DETECTION_GAP, HelpOutcome, HelpThresholds
+from .explainers.help_causal import D_MAX, DETECTION_GAP, T_STABLE, HelpOutcome
 from .explainers.pizza import INGREDIENTS, default_tree, predict
 from .scenarios import N_SCENARIOS, N_TASK_VARIANTS, get_scenario
 from .trace import SKILLS, Event, PlanStep, Scalar, TaskPlan, Trace
 
-_THRESHOLDS = HelpThresholds()
 TTS_TIMEOUT = 5.0
 SPEED_LIMIT = 0.30
 DETECTION_TICK = 0.2
@@ -483,7 +482,7 @@ def replay_fsm(trace: Trace) -> HelpOutcome:
                 assert run_start is not None
                 best_span = max(best_span, event.ts - run_start)
                 distance = event.payload.get("human.0.distance")
-                if distance is not None and float(distance) <= _THRESHOLDS.d_max:
+                if distance is not None and float(distance) <= D_MAX:
                     near_enough = True
             else:
                 run_start = None
@@ -500,7 +499,7 @@ def replay_fsm(trace: Trace) -> HelpOutcome:
         return HelpOutcome.NO_HUMAN_FOUND
     if not near_enough:
         return HelpOutcome.HUMAN_TOO_FAR
-    if best_span < _THRESHOLDS.t_stable:
+    if best_span < T_STABLE:
         return HelpOutcome.UNSTABLE_DETECTION
     if not path_ok:
         return HelpOutcome.APPROACH_FAILED

@@ -18,8 +18,8 @@ import pytest
 
 from hexar.cli import main as cli_main
 from hexar.explainers.help_causal import (
+    GATES,
     HelpOutcome,
-    build_help_model,
     counterfactual,
     evaluate_model,
     extract_variables,
@@ -226,8 +226,7 @@ def test_counterfactual_suite():
     """On every failing help-skill grid trace the intervention flips its
     gate minimally; the gate model agrees with the event-stream replay on
     every grid trace containing the skill."""
-    model = build_help_model()
-    gate_order = [g.failure for g in model.gates] + [HelpOutcome.SUCCESS]
+    gate_order = [g.failure for g in GATES] + [HelpOutcome.SUCCESS]
     checked_flips = 0
     checked_agreement = 0
     for scenario_id in range(11, 19):
@@ -236,31 +235,31 @@ def test_counterfactual_suite():
                 trace = generate_trace(scenario_id, variant, seed)
                 events = trace.by_source({"ask_human_for_help"})
                 variables = extract_variables(events)
-                modelled = evaluate_model(model, variables)
+                modelled = evaluate_model(variables)
                 assert modelled is replay_fsm(trace)
                 checked_agreement += 1
                 if modelled is HelpOutcome.SUCCESS:
                     continue
-                result = counterfactual(model, variables)
+                result = counterfactual(variables)
                 intervened = replace(variables, **{result.variable: result.intervention})
-                flipped = evaluate_model(model, intervened)
+                flipped = evaluate_model(intervened)
                 assert gate_order.index(flipped) > gate_order.index(modelled)
-                failed_gate = next(g for g in model.gates if g.failure is modelled)
+                failed_gate = next(g for g in GATES if g.failure is modelled)
                 # brute force over every variable's boundary intervention:
                 # only the failed gate's own variable can flip it
-                for gate in model.gates:
+                for gate in GATES:
                     if gate.variable == result.variable:
                         continue
-                    boundary_value = gate.passing_value(variables, model.thresholds)
+                    boundary_value = gate.passing_value
                     other = replace(variables, **{gate.variable: boundary_value})
-                    assert not failed_gate.predicate(other, model.thresholds)
+                    assert not failed_gate.predicate(other)
                 observed, boundary = result.observed, result.intervention
                 if isinstance(observed, (int, float)) and isinstance(boundary, (int, float)) \
                         and not isinstance(observed, bool) and not isinstance(boundary, bool):
                     for fraction in (0.25, 0.5, 0.9):
                         partial = observed + (boundary - observed) * fraction
                         shifted = replace(variables, **{result.variable: partial})
-                        assert not failed_gate.predicate(shifted, model.thresholds)
+                        assert not failed_gate.predicate(shifted)
                 checked_flips += 1
     assert checked_flips > 0 and checked_agreement == 48
     print(

@@ -3,16 +3,21 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexar.explainers.help_causal import (
     COUNTERFACTUAL_TEMPLATE,
+    D_MAX,
+    DETECTION_GAP,
+    GATES,
+    T_STABLE,
+    VAR_MAX,
     CounterfactualResult,
     HelpOutcome,
     HelpResponse,
-    HelpThresholds,
     HelpVariables,
     MultiCauseError,
-    build_help_model,
     counterfactual,
     evaluate_model,
     explain_help,
@@ -21,9 +26,7 @@ from hexar.explainers.help_causal import (
 )
 from hexar.framework import explain_hexar
 from hexar.simulate import generate_trace, replay_fsm
-from hexar.trace import ContextVector, Query, TaskPlan
-
-MODEL = build_help_model()
+from hexar.trace import ContextVector, Event, Query, TaskPlan, Trace
 
 
 def help_events(trace):
@@ -50,14 +53,14 @@ def passing_variables(**overrides) -> HelpVariables:
 def test_extract_variables_unstable_detection(trace_cache):
     v = extract_variables(help_events(trace_cache(13)))
     assert v.n_humans == 1
-    assert v.detection_duration < MODEL.thresholds.t_stable
-    assert v.min_distance is not None and v.min_distance <= MODEL.thresholds.d_max
+    assert v.detection_duration < T_STABLE
+    assert v.min_distance is not None and v.min_distance <= D_MAX
 
 
 def test_extract_variables_too_far(trace_cache):
     v = extract_variables(help_events(trace_cache(12)))
-    assert v.min_distance is not None and v.min_distance > MODEL.thresholds.d_max
-    assert v.detection_duration >= MODEL.thresholds.t_stable
+    assert v.min_distance is not None and v.min_distance > D_MAX
+    assert v.detection_duration >= T_STABLE
 
 
 def test_extract_variables_empty_event_list():
@@ -70,14 +73,9 @@ def test_extract_variables_empty_event_list():
 
 def test_extract_variables_high_variance(trace_cache):
     v = extract_variables(help_events(trace_cache(18)))
-    assert v.detection_variance > MODEL.thresholds.var_max
+    assert v.detection_variance > VAR_MAX
     low = extract_variables(help_events(trace_cache(15)))
-    assert low.detection_variance <= MODEL.thresholds.var_max
-
-
-def test_thresholds_must_be_positive():
-    with pytest.raises(ValueError):
-        HelpThresholds(t_stable=0.0)
+    assert low.detection_variance <= VAR_MAX
 
 
 # -- gate evaluation -------------------------------------------------------------
@@ -85,11 +83,11 @@ def test_thresholds_must_be_positive():
 
 def test_evaluate_model_refusal(trace_cache):
     v = extract_variables(help_events(trace_cache(15)))
-    assert evaluate_model(MODEL, v) is HelpOutcome.HELP_REFUSED
+    assert evaluate_model(v) is HelpOutcome.HELP_REFUSED
 
 
 def test_evaluate_model_success_when_all_gates_pass():
-    assert evaluate_model(MODEL, passing_variables()) is HelpOutcome.SUCCESS
+    assert evaluate_model(passing_variables()) is HelpOutcome.SUCCESS
 
 
 @pytest.mark.parametrize("scenario_id", list(range(11, 19)))
@@ -98,8 +96,58 @@ def test_evaluate_model_success_when_all_gates_pass():
 def test_model_agrees_with_fsm_replay(scenario_id, variant, seed):
     trace = generate_trace(scenario_id, variant, seed)
     outcome = replay_fsm(trace)
-    modelled = evaluate_model(MODEL, extract_variables(help_events(trace)))
+    modelled = evaluate_model(extract_variables(help_events(trace)))
     assert outcome is modelled
+
+
+def _near(boundary: float):
+    """The boundary itself, or one quantum of the trace clock to either side."""
+    return st.sampled_from([boundary - 1e-6, boundary, boundary + 1e-6])
+
+
+@st.composite
+def help_streams(draw) -> Trace:
+    """Detection runs shaped like the simulator's, with spans, gaps and
+    distances drawn on and around the gate thresholds, then dialogue."""
+    events = []
+    t = 0.0
+
+    def emit(kind, payload, dt):
+        nonlocal t
+        t = round(t + dt, 6)  # the simulator's 6-decimal clock
+        events.append(Event(t, "ask_human_for_help", kind, payload))
+
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            emit("detection", {"n_humans": 0}, draw(st.floats(0.05, 0.4)))
+        gap = draw(_near(DETECTION_GAP) | st.floats(0.05, 1.5))
+        span = draw(_near(T_STABLE) | st.floats(0.0, 2.4))
+        ticks = draw(st.integers(5, 12))  # keeps each tick under DETECTION_GAP
+        distance = draw(_near(D_MAX) | st.floats(0.5, 6.0))
+        for i in range(ticks + 1):
+            payload = {
+                "n_humans": 1,
+                "human.0.distance": distance,
+                "human.0.x": 1.8 + (0.1 if i % 2 else -0.1),
+                "human.0.y": 0.4,
+            }
+            emit("detection", payload, gap if i == 0 else span / ticks)
+    if draw(st.booleans()):
+        emit("log", {"text": "approach path", "path_feasible": draw(st.booleans())}, 0.1)
+    emit("dialogue", {"role": "robot", "text": "Could you help me?"}, 0.1)
+    response = draw(st.sampled_from([None, "agree", "refuse"]))
+    if response is not None:
+        emit("dialogue", {"role": "human", "response": response}, 0.1)
+    if draw(st.booleans()):
+        emit("dialogue", {"role": "human", "confirmed": draw(st.booleans())}, 0.1)
+    return Trace(scenario_id=11, task_variant=1, seed=0, events=tuple(events))
+
+
+@settings(max_examples=300, deadline=None)
+@given(help_streams())
+def test_model_agrees_with_fsm_replay_at_threshold_boundaries(trace):
+    # grid traces never come near the thresholds (distances 2.0-2.2 m or 4.1 m)
+    assert evaluate_model(extract_variables(trace.events)) is replay_fsm(trace)
 
 
 def test_replay_fsm_requires_help_events(trace_cache):
@@ -110,7 +158,7 @@ def test_replay_fsm_requires_help_events(trace_cache):
 # -- counterfactuals -------------------------------------------------------------
 
 
-GATE_ORDER = [gate.failure for gate in MODEL.gates] + [HelpOutcome.SUCCESS]
+GATE_ORDER = [gate.failure for gate in GATES] + [HelpOutcome.SUCCESS]
 
 
 def gate_rank(outcome: HelpOutcome) -> int:
@@ -119,21 +167,21 @@ def gate_rank(outcome: HelpOutcome) -> int:
 
 def test_counterfactual_too_far_lands_on_boundary():
     v = passing_variables(min_distance=4.1, response=HelpResponse.NONE, confirmation=False)
-    result = counterfactual(MODEL, v)
+    result = counterfactual(v)
     assert result.variable == "min_distance"
     assert result.observed == 4.1
-    assert result.intervention == MODEL.thresholds.d_max
+    assert result.intervention == D_MAX
     assert gate_rank(result.resulting) > gate_rank(result.realized)
 
 
 def test_counterfactual_rejects_satisfied_precondition():
     with pytest.raises(ValueError):
-        counterfactual(MODEL, passing_variables())
+        counterfactual(passing_variables())
 
 
 def test_counterfactual_confirmation_reaches_success():
     v = passing_variables(confirmation=False)
-    result = counterfactual(MODEL, v)
+    result = counterfactual(v)
     assert result.variable == "confirmation"
     assert result.intervention is True
     assert result.resulting is HelpOutcome.SUCCESS
@@ -141,8 +189,8 @@ def test_counterfactual_confirmation_reaches_success():
 
 def test_counterfactual_is_deterministic():
     v = passing_variables(n_humans=0, min_distance=None, detection_duration=0.0)
-    a = counterfactual(MODEL, v)
-    b = counterfactual(MODEL, v)
+    a = counterfactual(v)
+    b = counterfactual(v)
     assert a == b
 
 
@@ -155,15 +203,15 @@ def test_counterfactual_multi_cause_error_lists_failing_gates():
         confirmation=False,
     )
     with pytest.raises(MultiCauseError) as excinfo:
-        counterfactual(MODEL, v, desired=HelpOutcome.NO_CONFIRMATION)
+        counterfactual(v, desired=HelpOutcome.NO_CONFIRMATION)
     assert "n_humans" in excinfo.value.failing_gates
     assert "min_distance" in excinfo.value.failing_gates
 
 
 def test_counterfactual_toward_earlier_gate_uses_failing_value():
     v = passing_variables(response=HelpResponse.REFUSE, confirmation=False)
-    assert evaluate_model(MODEL, v) is HelpOutcome.HELP_REFUSED
-    result = counterfactual(MODEL, v, desired=HelpOutcome.HUMAN_TOO_FAR)
+    assert evaluate_model(v) is HelpOutcome.HELP_REFUSED
+    result = counterfactual(v, desired=HelpOutcome.HUMAN_TOO_FAR)
     assert result.variable == "min_distance"
     assert result.intervention is None  # the absent marker fails the distance gate
     assert result.resulting is HelpOutcome.HUMAN_TOO_FAR
@@ -189,14 +237,14 @@ def test_render_counterfactual_uses_exact_template():
 def brute_force_flip_check(v: HelpVariables):
     """Oracle: the returned intervention must flip the first failed gate, and
     for numeric gates no smaller change may flip it."""
-    realized = evaluate_model(MODEL, v)
-    result = counterfactual(MODEL, v)
-    failed_gate = next(g for g in MODEL.gates if g.failure is realized)
+    realized = evaluate_model(v)
+    result = counterfactual(v)
+    failed_gate = next(g for g in GATES if g.failure is realized)
     assert result.variable == failed_gate.variable
 
     intervened = replace(v, **{result.variable: result.intervention})
-    assert failed_gate.predicate(intervened, MODEL.thresholds), "gate did not flip"
-    assert gate_rank(evaluate_model(MODEL, intervened)) > gate_rank(realized)
+    assert failed_gate.predicate(intervened), "gate did not flip"
+    assert gate_rank(evaluate_model(intervened)) > gate_rank(realized)
 
     observed = result.observed
     boundary = result.intervention
@@ -207,7 +255,7 @@ def brute_force_flip_check(v: HelpVariables):
         for fraction in (0.2, 0.5, 0.9, 0.99):
             candidate = observed + (boundary - observed) * fraction
             shifted = replace(v, **{result.variable: candidate})
-            assert not failed_gate.predicate(shifted, MODEL.thresholds), (
+            assert not failed_gate.predicate(shifted), (
                 f"{result.variable}={candidate} already flips; boundary not minimal"
             )
 
@@ -217,7 +265,7 @@ def brute_force_flip_check(v: HelpVariables):
 def test_grid_counterfactuals_flip_and_are_minimal(scenario_id, variant):
     trace = generate_trace(scenario_id, variant, 0)
     v = extract_variables(help_events(trace))
-    assert evaluate_model(MODEL, v) is not HelpOutcome.SUCCESS
+    assert evaluate_model(v) is not HelpOutcome.SUCCESS
     brute_force_flip_check(v)
 
 

@@ -343,6 +343,27 @@ def test_explain_into_a_closed_pipe_ends_quietly(charger_trace, tmp_path, capsys
     assert "Traceback" not in capsys.readouterr().err
 
 
+# -- output paths ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenarios", "--manifest-out"],
+        ["simulate", "--scenario", "7", "--task", "1", "--out"],
+        ["evaluate", "--methods", "hexar", "--out"],
+    ],
+    ids=["scenarios", "simulate", "evaluate"],
+)
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(argv + [str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
+
+
 # -- evaluate and report ---------------------------------------------------------
 
 

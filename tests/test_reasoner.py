@@ -179,7 +179,6 @@ def test_latency_model_is_linear_in_prompt_size(rule_reasoner):
     expected = 2.0 + 0.25 * (len("sys") + len(prompt)) / 100.0
     assert response.latency == pytest.approx(expected, abs=1e-12)
     assert response.text == "pizza_recommender"
-    assert response.token_count == rule_reasoner.complete_text("sys", prompt).token_count
 
 
 def test_make_reasoner_factory():
@@ -229,7 +228,6 @@ def test_remote_reasoner_round_trip(chat_server):
         ReasonerRequest(system_prompt="sys", user_prompt="user", max_tokens=64)
     )
     assert response.text == "remote says hi"
-    assert response.token_count == 11
     assert response.latency >= 0.0
     body = _ChatHandler.seen[0]
     assert body["model"] == "tiny-model"
