@@ -124,6 +124,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         reasoner = make_reasoner(args.reasoner)
     except (ValueError, ReasonerError) as exc:
         return _fail(str(exc))
+    # refuse before the grid runs, not after every answer has been computed
+    out_dir = args.out.parent
+    if args.out.is_dir() or not out_dir.is_dir() or not os.access(out_dir, os.W_OK):
+        return _fail(f"cannot write {args.out}: not a file in a writable directory")
     records = evaluation.run_grid(methods, triples, reasoner, args.seed, jobs=args.jobs)
     try:
         evaluation.write_results_csv(records, args.out)

@@ -134,37 +134,28 @@ def run_grid(
         scenario_id, variant, query_index, method = item
         spec = get_scenario(scenario_id)
         trace = traces[(scenario_id, variant)]
-        sample = _sample_id(scenario_id, variant, query_index, method)
         try:
             explanation = answer(method, spec.queries[query_index - 1], trace, registry, reasoner)
         except ANSWER_ERRORS as exc:
-            return EvalRecord(
-                sample_id=sample,
-                scenario_id=scenario_id,
-                task_variant=variant,
-                query_index=query_index,
-                method=method,
-                explanation_text="",
-                produced_by=f"error:{type(exc).__name__}",
-                reasoner_calls=0,
-                wall_time=0.0,
-                selected_ok=False if method == "hexar" else None,
+            text, produced_by, calls, wall_time = "", f"error:{type(exc).__name__}", 0, 0.0
+            selected_ok = False
+        else:
+            text, produced_by = explanation.text, explanation.produced_by
+            calls, wall_time = explanation.reasoner_calls, explanation.wall_time
+            selected_ok = method == "hexar" and produced_by == registry.explainer_for_module(
+                spec.ground_truth.relevant_module
             )
-        selected_ok = None
-        if method == "hexar":
-            expected = registry.explainer_for_module(spec.ground_truth.relevant_module)
-            selected_ok = explanation.produced_by == expected
         return EvalRecord(
-            sample_id=sample,
+            sample_id=_sample_id(scenario_id, variant, query_index, method),
             scenario_id=scenario_id,
             task_variant=variant,
             query_index=query_index,
             method=method,
-            explanation_text=explanation.text,
-            produced_by=explanation.produced_by,
-            reasoner_calls=explanation.reasoner_calls,
-            wall_time=explanation.wall_time,
-            selected_ok=selected_ok,
+            explanation_text=text,
+            produced_by=produced_by,
+            reasoner_calls=calls,
+            wall_time=wall_time,
+            selected_ok=selected_ok if method == "hexar" else None,
         )
 
     if jobs > 1:
@@ -235,18 +226,19 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
     if not records:
         raise ValueError("no evaluation records")
     by_sample = {m.sample_id: m for m in metrics}
-    methods = tuple(m for m in METHODS if any(r.method == m for r in records))
 
-    def metric_value(metric: str, row: MetricRow) -> int:
-        return getattr(row, metric)
-
-    # matched grid points where every method has an annotated record
+    # one pass: (record, metric row) pairs per method, and the grid points
+    groups: dict[str, list[tuple[EvalRecord, MetricRow]]] = {}
     grid: dict[tuple[int, int, int], dict[str, MetricRow]] = {}
     for record in records:
-        if record.sample_id not in by_sample:
+        row = by_sample.get(record.sample_id)
+        if row is None:
             raise ValueError(f"record {record.sample_id} has no metric row")
+        groups.setdefault(record.method, []).append((record, row))
         key = (record.scenario_id, record.task_variant, record.query_index)
-        grid.setdefault(key, {})[record.method] = by_sample[record.sample_id]
+        grid.setdefault(key, {})[record.method] = row
+    methods = tuple(m for m in METHODS if m in groups)
+    # matched grid points where every method has an annotated record
     matched = [cell for _, cell in sorted(grid.items()) if all(m in cell for m in methods)]
 
     means: dict[str, dict[str, float]] = {}
@@ -257,17 +249,11 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
         means[metric] = {}
         variances[metric] = {}
         for method in methods:
-            values = [
-                float(metric_value(metric, by_sample[r.sample_id]))
-                for r in records
-                if r.method == method
-            ]
+            values = [float(getattr(row, metric)) for _, row in groups[method]]
             means[metric][method] = sum(values) / len(values)
             variances[metric][method] = sample_variance(values)
         if len(methods) >= 2 and matched:
-            matrix = [
-                [metric_value(metric, cell[m]) for m in methods] for cell in matched
-            ]
+            matrix = [[getattr(cell[m], metric) for m in methods] for cell in matched]
             cochran[metric] = cochran_q(matrix)
             raw: list[tuple[str, str, float, float]] = []
             for i in range(len(methods)):
@@ -280,18 +266,18 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
                 (a, b, stat, p, adj) for (a, b, stat, p), adj in zip(raw, adjusted)
             ]
 
-    hexar_records = [r for r in records if r.method == "hexar"]
     selection_accuracy = None
-    if hexar_records:
-        selection_accuracy = sum(1 for r in hexar_records if r.selected_ok) / len(hexar_records)
+    if "hexar" in groups:
+        hexar = groups["hexar"]
+        selection_accuracy = sum(1 for r, _ in hexar if r.selected_ok) / len(hexar)
 
     runtime = {}
     call_counts = {}
     for method in methods:
-        times = [r.wall_time for r in records if r.method == method]
+        group = groups[method]
+        times = [r.wall_time for r, _ in group]
         runtime[method] = (sum(times) / len(times), sample_variance(times))
-        calls = [r.reasoner_calls for r in records if r.method == method]
-        call_counts[method] = sum(calls) / len(calls)
+        call_counts[method] = sum(r.reasoner_calls for r, _ in group) / len(group)
 
     return StatsReport(
         methods=methods,

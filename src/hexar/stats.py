@@ -4,8 +4,8 @@ Implements Cochran's Q omnibus test over k matched binary treatments,
 pairwise McNemar tests (exact binomial for small discordant counts,
 continuity-corrected chi-square otherwise), Holm step-down adjustment and
 the sample variance.
-The chi-square survival function is computed directly from the regularized
-upper incomplete gamma so the package carries no statistics dependency.
+The chi-square survival function is the exact finite sum for an integer
+number of degrees of freedom, so the package carries no statistics dependency.
 """
 
 from __future__ import annotations
@@ -13,60 +13,31 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-_GAMMA_EPS = 1e-12
-_GAMMA_MAX_ITER = 10_000
-
-
-def _lower_gamma_series(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) by power series (x < s+1)."""
-    term = 1.0 / s
-    total = term
-    a = s
-    for _ in range(_GAMMA_MAX_ITER):
-        a += 1.0
-        term *= x / a
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) by continued fraction (x >= s+1)."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
 
 def chi2_sf(x: float, df: int) -> float:
-    """Survival function of the chi-square distribution with ``df`` degrees."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    """Survival function of the chi-square distribution with ``df`` degrees.
+
+    For an integer ``df`` the tail is a finite sum (Abramowitz & Stegun,
+    section 26.4): with h = x/2, the sum over e = 0, 1, ..., df/2 - 1 (even df)
+    or e = 1/2, 3/2, ..., df/2 - 1 (odd df, plus erfc(sqrt(h))) of
+    exp(-h) h^e / Gamma(e + 1). Each term is formed in log space, so none
+    overflows and none underflows before it is negligible.
+    """
+    if not isinstance(df, int) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"chi-square statistic must be finite, got {x}")
     if x < 0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
-    if x == 0.0:
+    h = x / 2.0
+    if h == 0.0:
         return 1.0
-    s = df / 2.0
-    half_x = x / 2.0
-    if half_x < s + 1.0:
-        return max(0.0, min(1.0, 1.0 - _lower_gamma_series(s, half_x)))
-    return max(0.0, min(1.0, _upper_gamma_cf(s, half_x)))
+    log_h = math.log(h)
+    total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for twice_e in range(df % 2, df, 2):
+        e = twice_e / 2.0
+        total += math.exp(e * log_h - h - math.lgamma(e + 1.0))
+    return max(0.0, min(1.0, total))
 
 
 def _check_binary(values) -> None:

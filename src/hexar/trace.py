@@ -331,7 +331,7 @@ def read_trace(path: str | Path) -> Trace:
             raise TraceError(f"{path}: malformed event at line {lineno}: {exc}") from exc
         if event.ts < last_ts:
             raise TraceError(
-                f"{path}: ordering violation at event {lineno - 1} (file line {lineno}): "
+                f"{path}: ordering violation at event {len(events) + 1} (file line {lineno}): "
                 f"ts {event.ts:.6f} precedes {last_ts:.6f}"
             )
         last_ts = event.ts

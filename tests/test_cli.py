@@ -364,6 +364,19 @@ def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+def test_evaluate_checks_output_path_before_the_grid(tmp_path, capsys, monkeypatch, where):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("run_grid must not start when --out cannot be written")
+
+    monkeypatch.setattr(cli.evaluation, "run_grid", no_grid)
+    target = tmp_path / "missing" / "r.csv" if where == "missing_dir" else tmp_path
+    code, _, err = run(["evaluate", "--methods", "hexar", "--out", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
 # -- evaluate and report ---------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from hexar.reasoner import LatencyModelReasoner, RuleReasoner, TextReasoner
 from hexar.scenarios import get_scenario, grid_triples
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.md"
+GOLDEN_STATS = Path(__file__).parent / "data" / "golden_stats.csv"
 
 
 def _record(sample_id, scenario_id, method, text, wall=1.0, calls=1, variant=1, query=1, ok=None):
@@ -116,6 +118,24 @@ def test_run_grid_flags_per_sample_failures_without_aborting():
     assert all(r.explanation_text == "" for r in records)
     assert all(r.produced_by.startswith("error:") for r in records)
     assert all(r.selected_ok is False for r in records)
+
+
+def test_run_grid_error_records_carry_no_cost():
+    from hexar.reasoner import ReasonerError, TextReasoner
+
+    class BrokenReasoner(TextReasoner):
+        def complete(self, request):
+            raise ReasonerError("endpoint down")
+
+    records = run_grid(list(METHODS), [(7, 1, 1)], BrokenReasoner(), seed=0)
+    assert [
+        (r.method, r.explanation_text, r.produced_by, r.reasoner_calls, r.wall_time, r.selected_ok)
+        for r in records
+    ] == [
+        ("hexar", "", "error:ReasonerError", 0, 0.0, False),
+        ("end_to_end", "", "error:ReasonerError", 0, 0.0, None),
+        ("all_components", "", "error:ReasonerError", 0, 0.0, None),
+    ]
 
 
 class BillingOracle(TextReasoner):
@@ -312,6 +332,13 @@ def test_render_report_matches_golden(tmp_path):
     assert stats_path.exists()
     produced = report_path.read_text(encoding="utf-8")
     assert produced == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_render_report_stats_csv_matches_golden(tmp_path):
+    records, metrics, disagreement = _fixture_records_and_metrics()
+    stats = replace(compute_stats(records, metrics), disagreement_rate=disagreement)
+    _, stats_path = render_report(records, metrics, stats, tmp_path)
+    assert stats_path.read_bytes() == GOLDEN_STATS.read_bytes()
 
 
 def test_render_report_rejects_empty():

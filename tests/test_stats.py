@@ -161,6 +161,20 @@ def test_chi2_sf_edges():
         chi2_sf(1.0, 0)
 
 
+@pytest.mark.parametrize("df", [*range(1, 10), 50, 500])
+def test_chi2_sf_matches_scipy(df):
+    from scipy.stats import chi2
+
+    for x in (1e-8, 1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 100.0, 250.0, 500.0, 1000.0):
+        assert chi2_sf(x, df) == pytest.approx(chi2.sf(x, df), rel=1e-10, abs=0.0), x
+
+
+@pytest.mark.parametrize("x, df", [(1.0, 2.5), (1.0, -1), (math.inf, 2), (math.nan, 2)])
+def test_chi2_sf_rejects_non_integer_df_and_non_finite_x(x, df):
+    with pytest.raises(ValueError):
+        chi2_sf(x, df)
+
+
 # -- McNemar -----------------------------------------------------------------
 
 

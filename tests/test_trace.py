@@ -59,6 +59,21 @@ def test_read_rejects_out_of_order_timestamps(tmp_path):
         read_trace(path)
 
 
+def test_ordering_violation_counts_events_not_file_lines(tmp_path):
+    lines = [
+        '{"scenario_id": 1, "task_variant": 1, "seed": 0}',
+        "",
+        "",
+        '{"ts": 0.000000, "source": "system", "kind": "log", "payload": {"text": "a"}}',
+        '{"ts": 2.000000, "source": "system", "kind": "log", "payload": {"text": "b"}}',
+        '{"ts": 1.000000, "source": "system", "kind": "log", "payload": {"text": "c"}}',
+    ]
+    path = tmp_path / "blank.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceError, match=r"at event 3 \(file line 6\)"):
+        read_trace(path)
+
+
 def test_read_reports_parse_error_line(tmp_path):
     path = tmp_path / "broken.trace"
     path.write_text(
@@ -389,7 +404,7 @@ def oracle_read_trace(path: str | Path) -> Trace:
             raise TraceError(f"{path}: malformed event at line {lineno}: {exc}") from exc
         if event.ts < last_ts:
             raise TraceError(
-                f"{path}: ordering violation at event {lineno - 1} (file line {lineno}): "
+                f"{path}: ordering violation at event {len(events) + 1} (file line {lineno}): "
                 f"ts {event.ts:.6f} precedes {last_ts:.6f}"
             )
         last_ts = event.ts
