@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from hexar.explainers.help_causal import HelpOutcome
@@ -91,6 +93,24 @@ def test_generate_trace_is_deterministic(tmp_path):
     write_trace(a, pa)
     write_trace(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# SHA-256 of the trace files of every grid cell at seeds 0-4, concatenated in
+# seed, scenario, variant order. A change to any event, timestamp or payload
+# byte the simulator writes changes it; when that is intended, recompute the
+# digest and say why in the change description.
+GRID_TRACES_SHA256 = "e996539b30a26229d0587d990c8938a9dcffcee9faee3b5481ef7546514143b4"
+
+
+def test_grid_trace_bytes_match_pinned_digest(tmp_path):
+    cells = sorted({(scenario_id, variant) for scenario_id, variant, _ in grid_triples()})
+    path = tmp_path / "t.trace"
+    sha = hashlib.sha256()
+    for seed in range(5):
+        for scenario_id, variant in cells:
+            write_trace(generate_trace(scenario_id, variant, seed), path)
+            sha.update(path.read_bytes())
+    assert sha.hexdigest() == GRID_TRACES_SHA256
 
 
 def test_generate_trace_rejects_out_of_range():
