@@ -15,7 +15,7 @@ from . import evaluation
 from .explainers import build_default_registry
 from .framework import ANSWER_ERRORS
 from .reasoner import ReasonerError, make_reasoner
-from .scenarios import grid_triples, list_scenarios, read_manifest, write_manifest
+from .scenarios import get_scenario, grid_triples, list_scenarios, read_manifest, write_manifest
 from .simulate import generate_trace
 from .trace import TraceError, read_trace, validate_trace, write_trace
 
@@ -41,11 +41,10 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             write_manifest(args.manifest_out)
         except OSError as exc:
             return _fail(str(exc))
-    specs = list_scenarios()
-    if args.id is not None:
-        if not 1 <= args.id <= len(specs):
-            return _fail(f"scenario id out of range: {args.id}")
-        specs = [specs[args.id - 1]]
+    try:
+        specs = list_scenarios() if args.id is None else [get_scenario(args.id)]
+    except ValueError as exc:
+        return _fail(str(exc))
     for spec in specs:
         print(
             f"{spec.scenario_id:2d}  {spec.category:24s} {spec.relevant_module:20s} "

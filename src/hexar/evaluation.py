@@ -11,7 +11,7 @@ from .baselines import explain_all_components, explain_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
 from .framework import ANSWER_ERRORS, ExplainerRegistry, explain_hexar
 from .reasoner import TextReasoner
-from .scenarios import CONTRADICTED_FACTS, get_scenario, read_csv_rows
+from .scenarios import get_scenario, read_csv_rows
 from .simulate import generate_trace
 from .stats import cochran_q, holm_adjust, mcnemar, sample_variance
 from .trace import Explanation, Query, Trace
@@ -178,10 +178,7 @@ def auto_annotate(records: list[EvalRecord]) -> list[AnnotationRow]:
         spec = get_scenario(record.scenario_id)
         text = record.explanation_text.lower()
         rci = int(bool(text) and spec.ground_truth.root_cause.lower() in text)
-        bad = int(
-            bool(text)
-            and any(fact.lower() in text for fact in CONTRADICTED_FACTS[record.scenario_id])
-        )
+        bad = int(bool(text) and any(fact.lower() in text for fact in spec.contradicted_facts))
         for annotator in (1, 2, 3):
             rows.append(AnnotationRow(record.sample_id, annotator, rci, bad))
     return rows
@@ -329,21 +326,24 @@ def write_results_csv(records: list[EvalRecord], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[EvalRecord]:
-    records = [
-        EvalRecord(
-            sample_id=row["sample_id"],
-            scenario_id=int(row["scenario_id"]),
-            task_variant=int(row["task_variant"]),
-            query_index=int(row["query_index"]),
-            method=row["method"],
-            explanation_text=row["explanation_text"],
-            produced_by=row["produced_by"],
-            reasoner_calls=int(row["reasoner_calls"]),
-            wall_time=float(row["wall_time"]),
-            selected_ok=None if row["selected_ok"] == "" else bool(int(row["selected_ok"])),
+    records = []
+    for row in read_csv_rows(path, _RESULTS_COLUMNS, "results"):
+        if row["method"] not in METHODS:
+            raise ValueError(f"{path}: sample {row['sample_id']}: unknown method {row['method']!r}")
+        records.append(
+            EvalRecord(
+                sample_id=row["sample_id"],
+                scenario_id=int(row["scenario_id"]),
+                task_variant=int(row["task_variant"]),
+                query_index=int(row["query_index"]),
+                method=row["method"],
+                explanation_text=row["explanation_text"],
+                produced_by=row["produced_by"],
+                reasoner_calls=int(row["reasoner_calls"]),
+                wall_time=float(row["wall_time"]),
+                selected_ok=None if row["selected_ok"] == "" else bool(int(row["selected_ok"])),
+            )
         )
-        for row in read_csv_rows(path, _RESULTS_COLUMNS, "results")
-    ]
     if not records:
         raise ValueError("empty results file")
     return records
@@ -395,18 +395,14 @@ def render_report(
     lines += ["## Explanation accuracy by robot module", ""]
     lines += ["| module | n | " + " | ".join(stats.methods) + " |",
               "|" + "---|" * (len(stats.methods) + 2)]
+    accuracy: dict[tuple[str, str], list[int]] = {}  # (module, method) -> 0/1 values
+    for r in records:
+        module = get_scenario(r.scenario_id).relevant_module
+        accuracy.setdefault((module, r.method), []).append(by_sample[r.sample_id].explanation_accuracy)
     for module in ROBOT_MODULES:
-        row_cells = []
-        n_records = 0
-        for method in stats.methods:
-            values = [
-                by_sample[r.sample_id].explanation_accuracy
-                for r in records
-                if r.method == method
-                and get_scenario(r.scenario_id).ground_truth.relevant_module == module
-            ]
-            n_records = max(n_records, len(values))
-            row_cells.append(f"{sum(values) / len(values):.3f}" if values else "-")
+        columns = [accuracy.get((module, method), []) for method in stats.methods]
+        row_cells = [f"{sum(values) / len(values):.3f}" if values else "-" for values in columns]
+        n_records = max(map(len, columns), default=0)
         lines.append(f"| {module} | {n_records} | " + " | ".join(row_cells) + " |")
     lines.append("")
 

@@ -34,7 +34,6 @@ from hexar.explainers.pizza import (
 from hexar.framework import explain_hexar
 from hexar.reasoner import LatencyModelReasoner, RuleReasoner
 from hexar.scenarios import (
-    CONTRADICTED_FACTS,
     grid_triples,
     list_scenarios,
 )
@@ -116,7 +115,7 @@ def test_root_cause_floor(hexar_grid, specs):
     contradicted = [
         (s, v, q)
         for s, v, q, e in results
-        if any(fact.lower() in e.text.lower() for fact in CONTRADICTED_FACTS[s])
+        if any(fact.lower() in e.text.lower() for fact in specs[s].contradicted_facts)
     ]
     assert missing == [], f"explanations without root cause: {missing}"
     assert contradicted == [], f"explanations with contradicted facts: {contradicted}"

@@ -567,3 +567,21 @@ def test_report_short_results_row_is_usage_error(tmp_path, small_manifest, capsy
         capsys,
     )
     _assert_short_row_error(code, err, results)
+
+
+def test_report_unknown_method_is_usage_error(tmp_path, small_manifest, capsys):
+    results = _results(tmp_path, small_manifest, capsys)
+    with open(results, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("method")
+    for row in rows[1:]:
+        row[column] = "foo"
+    with open(results, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    code, _, err = run(
+        ["report", "--results", str(results), "--auto-annotate", "--out", str(tmp_path / "rep")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert f"{results}: sample {rows[1][0]}: unknown method 'foo'" in err

@@ -7,8 +7,8 @@ import pytest
 from hexar.explainers.help_causal import HelpOutcome
 from hexar.scenarios import (
     CATEGORIES,
-    CONTRADICTED_FACTS,
-    ROOT_CAUSE_EVIDENCE,
+    N_SCENARIOS,
+    _scenario,
     get_scenario,
     grid_triples,
     list_scenarios,
@@ -54,8 +54,16 @@ def test_every_scenario_has_three_instructions_and_queries():
 
 def test_root_cause_never_listed_as_contradicted():
     for spec in list_scenarios():
-        for fact in CONTRADICTED_FACTS[spec.scenario_id]:
+        for fact in spec.contradicted_facts:
             assert fact.lower() not in spec.ground_truth.root_cause.lower()
+            assert fact.lower() not in spec.evidence.lower()
+
+
+def test_scenario_registered_out_of_order_is_refused():
+    register = _scenario(5, "Inability", "planner", "d", ("a",) * 3, ("q",) * 3, "c", ())
+    with pytest.raises(ValueError, match="out of order"):
+        register(lambda b, variant, instruction: None)
+    assert len(list_scenarios()) == N_SCENARIOS
 
 
 # -- trace generation ------------------------------------------------------------
@@ -134,12 +142,12 @@ def test_successful_scenarios_have_no_failed_statuses(scenario_id, trace_cache):
         )
 
 
-@pytest.mark.parametrize("scenario_id", list(range(1, 21)))
+@pytest.mark.parametrize("scenario_id", range(1, N_SCENARIOS + 1))
 def test_root_cause_evidence_present_in_some_payload(scenario_id):
     for variant in (1, 2, 3):
         for seed in (0, 17):
             trace = generate_trace(scenario_id, variant, seed)
-            needle = ROOT_CAUSE_EVIDENCE[scenario_id].lower()
+            needle = get_scenario(scenario_id).evidence.lower()
             assert any(
                 needle in str(value).lower()
                 for event in trace.events

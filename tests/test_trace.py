@@ -99,7 +99,7 @@ def test_write_empty_trace_has_header_only(tmp_path):
     assert read_trace(path) == trace
 
 
-@pytest.mark.parametrize("scenario_id", list(range(1, 21)))
+@pytest.mark.parametrize("scenario_id", range(1, N_SCENARIOS + 1))
 def test_round_trip_on_simulator_output(tmp_path, scenario_id):
     trace = generate_trace(scenario_id, 1, 42)
     path = tmp_path / f"s{scenario_id}.trace"
@@ -209,7 +209,7 @@ def test_query_and_explanation_invariants():
         Explanation(text="ok", produced_by="x", reasoner_calls=-1)
 
 
-@pytest.mark.parametrize("scenario_id", list(range(1, 21)))
+@pytest.mark.parametrize("scenario_id", range(1, N_SCENARIOS + 1))
 @pytest.mark.parametrize("variant", [1, 2, 3])
 def test_all_grid_traces_pass_validator(trace_cache, scenario_id, variant):
     validate_trace(trace_cache(scenario_id, variant))
