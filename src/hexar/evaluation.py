@@ -11,7 +11,7 @@ from .baselines import explain_all_components, explain_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
 from .framework import ANSWER_ERRORS, ExplainerRegistry, explain_hexar
 from .reasoner import TextReasoner
-from .scenarios import get_scenario, read_csv_rows
+from .scenarios import check_grid_point, get_scenario, read_csv_rows
 from .simulate import generate_trace
 from .stats import cochran_q, holm_adjust, mcnemar, sample_variance
 from .trace import Explanation, Query, Trace
@@ -326,24 +326,40 @@ def write_results_csv(records: list[EvalRecord], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[EvalRecord]:
+    """Records of a results CSV as ``write_results_csv`` writes it.
+
+    A field that does not parse, an unknown method, a point off the
+    evaluation grid or a ``sample_id`` that does not match the row's
+    fields raises ``ValueError`` naming the file and the sample.
+    """
     records = []
     for row in read_csv_rows(path, _RESULTS_COLUMNS, "results"):
-        if row["method"] not in METHODS:
-            raise ValueError(f"{path}: sample {row['sample_id']}: unknown method {row['method']!r}")
-        records.append(
-            EvalRecord(
-                sample_id=row["sample_id"],
-                scenario_id=int(row["scenario_id"]),
-                task_variant=int(row["task_variant"]),
-                query_index=int(row["query_index"]),
-                method=row["method"],
-                explanation_text=row["explanation_text"],
-                produced_by=row["produced_by"],
-                reasoner_calls=int(row["reasoner_calls"]),
-                wall_time=float(row["wall_time"]),
-                selected_ok=None if row["selected_ok"] == "" else bool(int(row["selected_ok"])),
+        try:
+            if row["method"] not in METHODS:
+                raise ValueError(f"unknown method {row['method']!r}")
+            point = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
+            check_grid_point(point)
+            expected_id = _sample_id(*point, row["method"])
+            if row["sample_id"] != expected_id:
+                raise ValueError(f"sample_id does not match the row's fields ({expected_id})")
+            records.append(
+                EvalRecord(
+                    sample_id=row["sample_id"],
+                    scenario_id=point[0],
+                    task_variant=point[1],
+                    query_index=point[2],
+                    method=row["method"],
+                    explanation_text=row["explanation_text"],
+                    produced_by=row["produced_by"],
+                    reasoner_calls=int(row["reasoner_calls"]),
+                    wall_time=float(row["wall_time"]),
+                    selected_ok=(
+                        None if row["selected_ok"] == "" else bool(int(row["selected_ok"]))
+                    ),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: sample {row['sample_id']}: {exc}") from exc
     if not records:
         raise ValueError("empty results file")
     return records

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
-
-import numpy as np
 
 from ..framework import ExplainerError
 from ..trace import ContextVector, Event, Query
@@ -203,24 +203,49 @@ class Attribution:
 
 
 def _weighted_ridge(
-    design: np.ndarray, target: np.ndarray, weights: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
-    """Weighted ridge fit with an unpenalized intercept column appended."""
-    n, d = design.shape
-    augmented = np.hstack([design, np.ones((n, 1))])
-    wz = augmented * weights[:, None]
-    normal = augmented.T @ wz
-    penalty = np.eye(d + 1) * lam
-    penalty[d, d] = 0.0
-    rhs = wz.T @ target
-    try:
-        solution = np.linalg.solve(normal + penalty, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate perturbation design; use regularization > 0") from exc
-    return solution[:d], float(solution[d])
+    rows: Sequence[tuple[int, ...]],
+    targets: Sequence[float],
+    weights: Sequence[float],
+    lam: float,
+) -> tuple[list[float], float]:
+    """Weighted ridge fit with an unpenalized intercept column appended.
+
+    ``rows`` are distinct; a repeated input carries its multiplicity in its
+    weight. Each entry of the normal equations is one ``math.fsum``, so it
+    is correctly rounded whatever the row order, and the system is solved
+    by Gaussian elimination with partial pivoting.
+    """
+    d = len(rows[0])
+    degenerate = "degenerate perturbation design; use regularization > 0"
+    # fewer distinct rows than unknowns leave the unpenalized system singular
+    if lam == 0 and len(rows) <= d:
+        raise ValueError(degenerate)
+    n = d + 1
+    columns = [*zip(*rows), (1,) * len(rows)]
+    weighted = [list(map(operator.mul, weights, column)) for column in columns]
+    # augmented system [normal | rhs]; the normal matrix is symmetric
+    system = [[0.0] * n + [math.fsum(map(operator.mul, wi, targets))] for wi in weighted]
+    for i in range(n):
+        for j in range(i, n):
+            system[i][j] = system[j][i] = math.fsum(map(operator.mul, weighted[i], columns[j]))
+    for i in range(d):
+        system[i][i] += lam
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda r: abs(system[r][k]))
+        if system[pivot][k] == 0.0:
+            raise ValueError(degenerate)
+        system[k], system[pivot] = system[pivot], system[k]
+        for r in range(k + 1, n):
+            factor = system[r][k] / system[k][k]
+            system[r] = [a - factor * b for a, b in zip(system[r], system[k])]
+    solution = [0.0] * n
+    for k in reversed(range(n)):
+        known = math.fsum(system[k][j] * solution[j] for j in range(k + 1, n))
+        solution[k] = (system[k][n] - known) / system[k][k]
+    return solution[:d], solution[d]
 
 
-def _top_present(x: tuple[int, ...], weights: np.ndarray) -> str | None:
+def _top_present(x: tuple[int, ...], weights: Sequence[float]) -> str | None:
     present = [i for i, v in enumerate(x) if v == 1]
     if not present:
         return None
@@ -257,19 +282,19 @@ def _lime_attribute(
     d = tree.n_features
     target_idx = tree.classes.index(target_class)
     rng = random.Random(cfg.seed)
-    samples = [x]
+    counts = Counter([x])
     for _ in range(cfg.n_samples - 1):
-        samples.append(tuple(rng.randint(0, 1) for _ in range(d)))
+        counts[tuple(rng.randint(0, 1) for _ in range(d))] += 1
+    rows = list(counts)
 
     # the tree walk of sample 0 also rejects an x of the wrong length
-    target = np.array([predict_proba(tree, z)[target_idx] for z in samples])
-    design = np.array(samples, dtype=float)
-    hamming = np.abs(design - np.array(x, dtype=float)).sum(axis=1)
+    targets = [predict_proba(tree, z)[target_idx] for z in rows]
     sigma = 0.75 * math.sqrt(d)
-    weights = np.exp(-((hamming / math.sqrt(d)) ** 2) / sigma**2)
-    coef, intercept = _weighted_ridge(design, target, weights, cfg.regularization)
+    kernel = [math.exp(-((h / math.sqrt(d)) ** 2) / sigma**2) for h in range(d + 1)]
+    weights = [counts[z] * kernel[sum(map(operator.ne, z, x))] for z in rows]
+    coef, intercept = _weighted_ridge(rows, targets, weights, cfg.regularization)
     return Attribution(
-        weights=tuple(float(w) for w in coef),
+        weights=tuple(coef),
         intercept=intercept,
         top_present_ingredient=_top_present(x, coef),
     )
@@ -287,12 +312,11 @@ def exhaustive_attribution(
         raise ValueError(f"unknown class {target_class!r}")
     d = tree.n_features
     target_idx = tree.classes.index(target_class)
-    samples = [tuple((mask >> bit) & 1 for bit in range(d)) for mask in range(2**d)]
-    design = np.array(samples, dtype=float)
-    target = np.array([predict_proba(tree, z)[target_idx] for z in samples])
-    coef, intercept = _weighted_ridge(design, target, np.ones(len(samples)), 0.0)
+    rows = [tuple((mask >> bit) & 1 for bit in range(d)) for mask in range(2**d)]
+    targets = [predict_proba(tree, z)[target_idx] for z in rows]
+    coef, intercept = _weighted_ridge(rows, targets, [1.0] * len(rows), 0.0)
     return Attribution(
-        weights=tuple(float(w) for w in coef),
+        weights=tuple(coef),
         intercept=intercept,
         top_present_ingredient=_top_present(tuple(x), coef),
     )

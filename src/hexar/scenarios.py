@@ -811,16 +811,25 @@ def read_csv_rows(path: str | Path, columns: list[str], kind: str) -> list[dict[
     return rows
 
 
+def check_grid_point(triple: tuple[int, int, int]) -> None:
+    """Raise ``ValueError`` unless ``triple`` is one of ``grid_triples()``."""
+    scenario_id, task_variant, query_index = triple
+    if not (
+        1 <= scenario_id <= N_SCENARIOS
+        and 1 <= task_variant <= N_TASK_VARIANTS
+        and 1 <= query_index <= N_QUERIES
+    ):
+        raise ValueError(
+            f"(scenario_id, task_variant, query_index) out of range: {triple} "
+            f"(the grid is 1..{N_SCENARIOS} x 1..{N_TASK_VARIANTS} x 1..{N_QUERIES})"
+        )
+
+
 def read_manifest(path: str | Path) -> list[tuple[int, int, int]]:
     triples = []
     for row in read_csv_rows(path, _MANIFEST_COLUMNS, "manifest"):
         triple = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
-        if not (
-            1 <= triple[0] <= N_SCENARIOS
-            and 1 <= triple[1] <= N_TASK_VARIANTS
-            and 1 <= triple[2] <= N_QUERIES
-        ):
-            raise ValueError(f"manifest triple out of range: {triple}")
+        check_grid_point(triple)
         triples.append(triple)
     if not triples:
         raise ValueError("empty manifest")

@@ -3,9 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hexar
 from hexar import cli
 from hexar.cli import main
 from hexar.evaluation import FAILURE_REPLY
@@ -103,6 +107,28 @@ def test_explain_hexar_charger(charger_trace, capsys):
     assert code == 0
     assert "disables autonomous navigation" in out
     assert "produced_by: navigation" in out
+
+
+def test_explain_pizza_imports_no_numpy(tmp_path, capsys):
+    """hexar has no runtime dependency: numpy is a test-only oracle."""
+    trace = tmp_path / "s20.jsonl"
+    main(["simulate", "--scenario", "20", "--task", "1", "--seed", "0", "--out", str(trace)])
+    capsys.readouterr()
+    script = (
+        "import sys, hexar.cli, hexar.evaluation\n"
+        f"code = hexar.cli.main(['explain', '--trace', {str(trace)!r}, "
+        "'--query', 'Why did you pick that pizza?'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(hexar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "produced_by: pizza_recommender" in done.stdout
 
 
 def test_explain_is_deterministic(charger_trace, capsys):
@@ -585,3 +611,36 @@ def test_report_unknown_method_is_usage_error(tmp_path, small_manifest, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert f"{results}: sample {rows[1][0]}: unknown method 'foo'" in err
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("task_variant", "7", "out of range: (3, 7, 1)"),
+        ("query_index", "0", "out of range: (3, 1, 0)"),
+        ("scenario_id", "99", "out of range: (99, 1, 1)"),
+        ("sample_id", "s99v9q9_hexar", "does not match the row's fields (s03v1q1_hexar)"),
+        ("scenario_id", "x", "invalid literal for int() with base 10: 'x'"),
+        ("wall_time", "soon", "could not convert string to float: 'soon'"),
+    ],
+)
+def test_report_bad_results_row_is_usage_error(
+    tmp_path, small_manifest, capsys, column, value, message
+):
+    """One bad row fails the report, naming the file and the sample, instead
+    of dropping out of the matched grid the tests of significance use."""
+    results = _results(tmp_path, small_manifest, capsys)
+    with open(results, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    with open(results, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    code, _, err = run(
+        ["report", "--results", str(results), "--auto-annotate", "--out", str(tmp_path / "rep")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert f"{results}: sample {rows[1][0]}: " in err
+    assert message in err
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -225,10 +227,57 @@ def test_ranking_invariant_under_positive_scaling_of_target():
 
 
 def test_degenerate_design_without_regularization_raises():
+    """Fewer distinct perturbations than the D + 1 unknowns leave the
+    unregularised fit singular, whatever rounding does to the pivots."""
     tree = default_tree()
-    cfg = LimeConfig(n_samples=2, seed=0, regularization=0.0)
-    with pytest.raises(ValueError):
-        lime_attribute(tree, tuple([0] * D), "margherita", cfg)
+    configs = [LimeConfig(n_samples=2, seed=0, regularization=0.0)] + [
+        LimeConfig(n_samples=n, seed=seed, regularization=0.0)
+        for n in (5, 8)
+        for seed in range(200)
+    ]
+    for cfg in configs:
+        with pytest.raises(ValueError, match="degenerate perturbation design"):
+            lime_attribute(tree, tuple([0] * D), "margherita", cfg)
+
+
+def oracle_weighted_ridge(tree, x, target_class, cfg):
+    """The sampled fit via SVD-based lstsq on sqrt(w)-scaled rows plus
+    sqrt(lambda) penalty rows, on the package's seeded draws."""
+    rng = random.Random(cfg.seed)
+    samples = [x] + [
+        tuple(rng.randint(0, 1) for _ in range(D)) for _ in range(cfg.n_samples - 1)
+    ]
+    idx = tree.classes.index(target_class)
+    design = np.hstack([np.array(samples, float), np.ones((len(samples), 1))])
+    target = np.array([predict_proba(tree, z)[idx] for z in samples])
+    hamming = np.abs(design[:, :D] - np.array(x, float)).sum(axis=1)
+    sigma = 0.75 * np.sqrt(D)
+    root_w = np.sqrt(np.exp(-((hamming / np.sqrt(D)) ** 2) / sigma**2))
+    penalty = np.hstack([np.sqrt(cfg.regularization) * np.eye(D), np.zeros((D, 1))])
+    solution, *_ = np.linalg.lstsq(
+        np.vstack([design * root_w[:, None], penalty]),
+        np.concatenate([target * root_w, np.zeros(D)]),
+        rcond=None,
+    )
+    return solution[:D], solution[D]
+
+
+@pytest.mark.parametrize(
+    "x, target_class, cfg",
+    [
+        ((1, 1, 1, 0, 0, 0, 0, 0, 0, 0), "margherita", LimeConfig()),
+        ((0, 1, 0, 0, 0, 0, 1, 1, 0, 0), "hawaiian", LimeConfig(seed=7)),
+        ((1, 0, 1, 1, 0, 1, 0, 0, 1, 1), "pepperoni", LimeConfig(n_samples=300, seed=2)),
+        ((0, 0, 0, 0, 1, 1, 0, 0, 1, 0), "vegetarian", LimeConfig(regularization=0.5)),
+        ((1, 1, 0, 0, 0, 0, 0, 0, 1, 1), "marinara", LimeConfig(n_samples=40, seed=11)),
+    ],
+)
+def test_sampled_attribution_matches_weighted_lstsq_oracle(x, target_class, cfg):
+    tree = default_tree()
+    attribution = pizza._lime_attribute.__wrapped__(tree, x, target_class, cfg)
+    weights, intercept = oracle_weighted_ridge(tree, x, target_class, cfg)
+    assert np.allclose(attribution.weights, weights, rtol=0, atol=1e-12)
+    assert attribution.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
 
 
 def test_lime_attribute_validates_inputs():
@@ -245,20 +294,20 @@ def test_lime_attribute_reproduces_the_pinned_draw_sequence():
     tree = default_tree()
     s20 = lime_attribute(tree, (1, 1, 1, 0, 0, 0, 0, 0, 0, 0), "margherita")
     assert repr(s20.weights) == (
-        "(-0.027533579290443654, 0.06199225884432153, -0.019317233673623098, "
-        "-0.05701489930904439, -0.06232040972573259, -0.05884459245390589, "
-        "-0.064036317511859, -0.016143031533909908, -0.008405350714420728, "
-        "-0.008873029885351104)"
+        "(-0.027533579290442863, 0.06199225884432179, -0.019317233673621963, "
+        "-0.05701489930904387, -0.0623204097257321, -0.058844592453905324, "
+        "-0.06403631751185827, -0.016143031533909565, -0.008405350714420286, "
+        "-0.00887302988535102)"
     )
-    assert repr(s20.intercept) == "0.1498346600825957"
+    assert repr(s20.intercept) == "0.14983466008259227"
     other = lime_attribute(tree, (0, 1, 0, 0, 0, 0, 1, 1, 0, 0), "hawaiian")
     assert repr(other.weights) == (
-        "(0.014091629166189298, -0.010230559969449876, 0.007322110112840217, "
-        "-0.5502580281413868, -0.009010302102691568, -0.008583181811821307, "
-        "0.5646980632833465, -0.008344780921424898, 0.002967263260491613, "
-        "0.02074965870165889)"
+        "(0.014091629166188615, -0.010230559969449288, 0.007322110112839044, "
+        "-0.5502580281413827, -0.009010302102691633, -0.008583181811821838, "
+        "0.5646980632833449, -0.008344780921424903, 0.0029672632604904087, "
+        "0.02074965870165807)"
     )
-    assert repr(other.intercept) == "0.2546341825318168"
+    assert repr(other.intercept) == "0.2546341825318163"
 
 
 def test_lime_attribute_memoizes_each_distinct_call():
