@@ -22,18 +22,18 @@ from .reasoner import TextReasoner, load_prompt_template
 from .trace import Event, Explanation, Query, Trace
 
 
+def _source_union(registry: ExplainerRegistry) -> frozenset[str]:
+    return frozenset().union(*(e.subscribed_sources for e in registry.explainers.values()))
+
+
 def end_to_end_view(trace: Trace, registry: ExplainerRegistry) -> tuple[Event, ...]:
     """Events the end-to-end prompt may draw on: the union of all explainer views."""
-    union = frozenset().union(*(e.subscribed_sources for e in registry.explainers.values()))
-    return trace.by_source(union)
+    return trace.by_source(_source_union(registry))
 
 
-def build_end_to_end_prompt(
-    query: Query,
-    trace: Trace,
-    registry: ExplainerRegistry,
-) -> str:
-    events = end_to_end_view(trace, registry)
+def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> dict[str, str]:
+    """Every field of the end-to-end prompt except the query."""
+    events = trace.by_source(sources)
     plan = trace.plan
 
     plan_steps, grounding = format_plan(plan)
@@ -61,7 +61,7 @@ def build_end_to_end_prompt(
         for event in events
         if event.kind in ("detection", "dialogue")
     ]
-    return load_prompt_template("end_to_end").format(
+    return dict(
         instruction=plan.instruction,
         plan_steps=plan_steps,
         grounding_section=grounding,
@@ -70,8 +70,20 @@ def build_end_to_end_prompt(
         params="\n".join(params) or "(none)",
         other_events="\n".join(other) or "(none)",
         situation_catalogue=situation_catalogue(),
-        query=query.text,
     )
+
+
+def build_end_to_end_prompt(
+    query: Query,
+    trace: Trace,
+    registry: ExplainerRegistry,
+) -> str:
+    """The end-to-end prompt; its evidence is built once per trace and source union."""
+    sources = _source_union(registry)
+    evidence = trace.derived(
+        ("end_to_end_evidence", sources), lambda: _end_to_end_evidence(trace, sources)
+    )
+    return load_prompt_template("end_to_end").format(query=query.text, **evidence)
 
 
 def explain_end_to_end(

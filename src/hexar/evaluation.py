@@ -329,12 +329,17 @@ def read_results_csv(path: str | Path) -> list[EvalRecord]:
     """Records of a results CSV as ``write_results_csv`` writes it.
 
     A field that does not parse, an unknown method, a point off the
-    evaluation grid or a ``sample_id`` that does not match the row's
-    fields raises ``ValueError`` naming the file and the sample.
+    evaluation grid, a ``sample_id`` that does not match the row's fields
+    or one that an earlier row has already raises ``ValueError`` naming the
+    file and the sample.
     """
     records = []
-    for row in read_csv_rows(path, _RESULTS_COLUMNS, "results"):
+    seen: set[str] = set()
+    for _, row in read_csv_rows(path, _RESULTS_COLUMNS, "results"):
         try:
+            if row["sample_id"] in seen:
+                raise ValueError("duplicate row")
+            seen.add(row["sample_id"])
             if row["method"] not in METHODS:
                 raise ValueError(f"unknown method {row['method']!r}")
             point = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
@@ -376,7 +381,7 @@ def read_annotations_csv(path: str | Path) -> list[AnnotationRow]:
             root_cause=int(row["root_cause"]),
             incorrect_facts=int(row["incorrect_facts"]),
         )
-        for row in read_csv_rows(path, _ANNOTATION_COLUMNS, "annotation")
+        for _, row in read_csv_rows(path, _ANNOTATION_COLUMNS, "annotation")
     ]
 
 

@@ -137,23 +137,13 @@ class SelectorDecision:
 def build_context(query: Query, trace: Trace) -> ContextVector:
     """The parsed plan, per-skill latest statuses and the time window."""
     plan = trace.plan  # raises TraceError when the plan event is missing
-    latest: dict[str, str] = {}
-    for event in trace.events:
-        if event.kind == "skill_status":
-            latest[str(event.payload["skill"])] = str(event.payload["status"])
+    latest = trace.latest_statuses
     skills = tuple((step.skill, latest.get(step.skill, "waiting")) for step in plan.steps)
     events = trace.events
     start = events[0].ts if events else 0.0
     end = min(events[-1].ts, query.asked_at) if events else query.asked_at
     end = max(start, end)
     return ContextVector(plan=plan, skills=skills, window=(start, end))
-
-
-def _earliest_failure(trace: Trace) -> str | None:
-    for event in trace.events:
-        if event.kind == "skill_status" and event.payload.get("status") == "failed":
-            return str(event.payload["skill"])
-    return None
 
 
 def build_classifier_prompt(query: Query, registry: ExplainerRegistry) -> str:
@@ -180,7 +170,7 @@ def select(
     if not context.plan.valid:
         chosen = registry.explainer_for_module("planner")
         return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)
-    failed_skill = _earliest_failure(trace)
+    failed_skill = trace.earliest_failed_skill
     if failed_skill is not None:
         chosen = registry.explainer_for_module(failed_skill)
         return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)

@@ -784,8 +784,12 @@ def write_manifest(path: str | Path) -> None:
         writer.writerows(grid_triples())
 
 
-def read_csv_rows(path: str | Path, columns: list[str], kind: str) -> list[dict[str, str]]:
-    """Rows of a CSV file whose header is exactly ``columns``; blank lines are skipped.
+def read_csv_rows(
+    path: str | Path, columns: list[str], kind: str
+) -> list[tuple[int, dict[str, str]]]:
+    """(file line, row) pairs of a CSV file whose header is exactly ``columns``.
+
+    Blank lines are skipped; a row's line is the file line it ends on.
 
     Raises ``ValueError`` for another header, a row whose field count
     differs from the header's or unparseable CSV, naming the file line.
@@ -805,7 +809,7 @@ def read_csv_rows(path: str | Path, columns: list[str], kind: str) -> list[dict[
                         f"{path}: line {reader.line_num}: expected {len(columns)} fields, "
                         f"found {len(row)}"
                     )
-                rows.append(dict(zip(columns, row)))
+                rows.append((reader.line_num, dict(zip(columns, row))))
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     return rows
@@ -826,10 +830,14 @@ def check_grid_point(triple: tuple[int, int, int]) -> None:
 
 
 def read_manifest(path: str | Path) -> list[tuple[int, int, int]]:
+    """Grid points of a manifest CSV; a bad row raises ``ValueError`` naming its file line."""
     triples = []
-    for row in read_csv_rows(path, _MANIFEST_COLUMNS, "manifest"):
-        triple = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
-        check_grid_point(triple)
+    for line, row in read_csv_rows(path, _MANIFEST_COLUMNS, "manifest"):
+        try:
+            triple = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
+            check_grid_point(triple)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from exc
         triples.append(triple)
     if not triples:
         raise ValueError("empty manifest")

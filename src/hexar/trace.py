@@ -10,11 +10,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import TypeVar, Union
 
 Scalar = Union[str, int, float, bool]
+_T = TypeVar("_T")
 
 SOURCES = (
     "planner",
@@ -42,7 +44,7 @@ class Event:
 
     ``ts`` is seconds since trace start. ``payload`` is a flat map of
     scalars and strings; nested structures use dotted keys. Treat it as
-    read-only.
+    read-only: a ``Trace`` keeps views derived from its events' payloads.
     """
 
     ts: float
@@ -76,7 +78,17 @@ class Event:
 
 @dataclass(frozen=True)
 class Trace:
-    """An ordered event sequence for one scenario execution."""
+    """An ordered event sequence for one scenario execution.
+
+    Views derived from the events alone (``by_source``, ``plan``,
+    ``latest_statuses``, ``earliest_failed_skill`` and what callers keep with
+    ``derived``) are computed on first use and kept by this instance, because
+    one recording is asked many questions. They live and die with the
+    instance: ``dataclasses.replace`` gives a copy with none kept, and
+    equality and ``repr`` ignore them. Every ``Event`` payload must therefore
+    stay unmodified once the trace is built. Threads may share a trace; two
+    racing first uses compute the same value twice and one of them is kept.
+    """
 
     scenario_id: int
     task_variant: int
@@ -84,14 +96,29 @@ class Trace:
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        last = 0.0
-        for i, event in enumerate(self.events):
-            if event.ts < last:
-                raise TraceError(
-                    f"out-of-order timestamp at event {i + 1}: "
-                    f"{event.ts:.6f} < {last:.6f}"
-                )
-            last = event.ts
+        # Event keeps every stamp finite and non-negative, so they are in order
+        # exactly when sorting (a C loop over floats) leaves them unchanged;
+        # the indexed loop runs only to name the first offender
+        stamps = [event.ts for event in self.events]
+        if stamps != sorted(stamps):
+            last = 0.0
+            for i, ts in enumerate(stamps):
+                if ts < last:
+                    raise TraceError(
+                        f"out-of-order timestamp at event {i + 1}: {ts:.6f} < {last:.6f}"
+                    )
+                last = ts
+        object.__setattr__(self, "_memo", {})
+
+    def derived(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, run on the first call for ``key`` and kept by this trace.
+
+        ``compute`` must depend on the events and ``key`` alone.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def by_source(
         self,
@@ -99,10 +126,19 @@ class Trace:
         window: tuple[float, float] | None = None,
     ) -> tuple[Event, ...]:
         """Events from ``sources``, optionally only those with ``start <= ts <= end``."""
-        if window is None:
-            return tuple(e for e in self.events if e.source in sources)
-        start, end = window
-        return tuple(e for e in self.events if e.source in sources and start <= e.ts <= end)
+        # the memo inlined, without a closure: every explainer dispatch calls this
+        key = (frozenset(sources), window)
+        view = self._memo.get(key)
+        if view is None:
+            if window is None:
+                view = tuple(e for e in self.events if e.source in sources)
+            else:
+                start, end = window
+                view = tuple(
+                    e for e in self.events if e.source in sources and start <= e.ts <= end
+                )
+            self._memo[key] = view
+        return view
 
     @property
     def plan_event(self) -> Event:
@@ -115,6 +151,23 @@ class Trace:
     def plan(self) -> "TaskPlan":
         """The plan event's payload, parsed on first access and kept."""
         return TaskPlan.from_payload(self.plan_event.payload)
+
+    @functools.cached_property
+    def latest_statuses(self) -> Mapping[str, str]:
+        """The last recorded status of each skill, by skill name; do not modify it."""
+        latest: dict[str, str] = {}
+        for event in self.events:
+            if event.kind == "skill_status":
+                latest[str(event.payload["skill"])] = str(event.payload["status"])
+        return latest
+
+    @functools.cached_property
+    def earliest_failed_skill(self) -> str | None:
+        """The skill of the first ``failed`` status event, or None when none failed."""
+        for event in self.events:
+            if event.kind == "skill_status" and event.payload.get("status") == "failed":
+                return str(event.payload["skill"])
+        return None
 
 
 @dataclass(frozen=True)

@@ -565,6 +565,24 @@ def test_evaluate_short_manifest_row_is_usage_error(tmp_path, capsys):
     _assert_short_row_error(code, err, manifest)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x,1,1", "invalid literal for int() with base 10: 'x'"),
+        ("99,1,1", "(scenario_id, task_variant, query_index) out of range: (99, 1, 1)"),
+    ],
+)
+def test_evaluate_bad_manifest_row_names_file_and_line(tmp_path, capsys, row, message):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"scenario_id,task_variant,query_index\n1,1,1\n{row}\n")
+    code, _, err = run(
+        ["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert code == 2
+    assert err.startswith(f"error: {manifest}: line 3: {message}")
+    assert err.count("\n") == 1
+
+
 def test_report_short_annotation_row_is_usage_error(tmp_path, small_manifest, capsys):
     results = _results(tmp_path, small_manifest, capsys)
     annotations = tmp_path / "annotations.csv"
@@ -644,3 +662,16 @@ def test_report_bad_results_row_is_usage_error(
     assert f"{results}: sample {rows[1][0]}: " in err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_report_rejects_duplicated_results_row(tmp_path, small_manifest, capsys):
+    """A repeated sample is named as such, not blamed on the annotations."""
+    results = _results(tmp_path, small_manifest, capsys)
+    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+    results.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    code, _, err = run(
+        ["report", "--results", str(results), "--auto-annotate", "--out", str(tmp_path / "rep")],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: {results}: sample {lines[1].split(',')[0]}: duplicate row\n"

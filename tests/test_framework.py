@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 from collections import Counter
 
 import pytest
 
+from hexar.baselines import build_end_to_end_prompt
 from hexar.framework import (
     ComponentExplainer,
     ExplainerRegistry,
@@ -16,7 +20,7 @@ from hexar.framework import (
     select,
 )
 from hexar.reasoner import ReasonerResponse, TextReasoner
-from hexar.scenarios import grid_triples
+from hexar.scenarios import N_SCENARIOS, N_TASK_VARIANTS, get_scenario, grid_triples
 from hexar.simulate import generate_trace
 from hexar.trace import Event, Query, TaskPlan, Trace, TraceError
 
@@ -109,7 +113,7 @@ def test_build_context_requires_plan():
 
 
 def test_plan_is_parsed_once_per_trace(monkeypatch, registry, rule_reasoner):
-    from hexar.baselines import build_end_to_end_prompt, explain_all_components
+    from hexar.baselines import explain_all_components
 
     calls = []
     parse = TaskPlan.from_payload
@@ -127,6 +131,115 @@ def test_plan_is_parsed_once_per_trace(monkeypatch, registry, rule_reasoner):
     # the planner explainer reads the plan from its context
     explain_all_components(query, trace, registry, rule_reasoner)
     assert len(calls) == 1
+
+
+# -- per-trace memo ----------------------------------------------------------------
+
+
+def _reference_latest_statuses(trace):
+    latest = {}
+    for event in trace.events:
+        if event.kind == "skill_status":
+            latest[str(event.payload["skill"])] = str(event.payload["status"])
+    return latest
+
+
+def _reference_earliest_failed_skill(trace):
+    for event in trace.events:
+        if event.kind == "skill_status" and event.payload.get("status") == "failed":
+            return str(event.payload["skill"])
+    return None
+
+
+def _reference_view(trace, sources, window=None):
+    start, end = window or (-math.inf, math.inf)
+    return tuple(e for e in trace.events if e.source in sources and start <= e.ts <= end)
+
+
+def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reasoner):
+    """Warm answers on one trace equal cold ones on a fresh copy, seeds 0-4.
+
+    Each query is asked at the end and mid-trace, so the context windows
+    differ, and the end-to-end prompt is built for two registries with
+    different source unions.
+    """
+    partial = ExplainerRegistry()
+    for explainer_id in ("planner", "text_to_speech"):
+        partial.register(registry.explainers[explainer_id], [explainer_id])
+    source_sets = [e.subscribed_sources for e in registry.explainers.values()]
+    source_sets.append(frozenset().union(*source_sets))
+    for seed in range(5):
+        for scenario_id in range(1, N_SCENARIOS + 1):
+            for variant in range(1, N_TASK_VARIANTS + 1):
+                trace = generate_trace(scenario_id, variant, seed)
+                cold = lambda: dataclasses.replace(trace)
+                assert dict(trace.latest_statuses) == _reference_latest_statuses(trace)
+                assert trace.earliest_failed_skill == _reference_earliest_failed_skill(trace)
+                end = trace.events[-1].ts
+                for text, asked_at in itertools.product(
+                    get_scenario(scenario_id).queries, (end, end / 2)
+                ):
+                    query = Query(text, asked_at)
+                    for reg in (registry, partial):
+                        assert build_end_to_end_prompt(query, trace, reg) == (
+                            build_end_to_end_prompt(query, cold(), reg)
+                        )
+                    context = build_context(query, trace)
+                    assert context == build_context(query, cold())
+                    for sources in source_sets:
+                        for window in (None, context.window):
+                            view = trace.by_source(sources, window)
+                            assert view == cold().by_source(sources, window)
+                            assert view == _reference_view(trace, sources, window)
+                    assert select(query, trace, registry, rule_reasoner) == (
+                        select(query, cold(), registry, rule_reasoner)
+                    )
+
+
+def test_end_to_end_evidence_is_built_once_per_trace(monkeypatch, registry, rule_reasoner):
+    from hexar import baselines
+
+    calls = []
+    build = baselines._end_to_end_evidence
+
+    def counting(trace, sources):
+        calls.append(sources)
+        return build(trace, sources)
+
+    monkeypatch.setattr(baselines, "_end_to_end_evidence", counting)
+    trace = generate_trace(7, 1, 0)
+    answers = [
+        baselines.explain_end_to_end(_query(trace, text), trace, rule_reasoner, registry)
+        for text in get_scenario(7).queries
+    ]
+    assert len(answers) == 3 and len(calls) == 1
+    # a copy keeps nothing of the original's memo
+    copy = dataclasses.replace(trace)
+    assert copy == trace and repr(copy) == repr(trace)
+    baselines.explain_end_to_end(_query(copy), copy, rule_reasoner, registry)
+    assert len(calls) == 2
+
+
+class _CountingEvents(tuple):
+    """An event tuple that counts how often it is iterated."""
+
+    scans = 0
+
+    def __iter__(self):
+        type(self).scans += 1
+        return super().__iter__()
+
+
+def test_repeated_view_key_scans_once(trace_cache):
+    trace = trace_cache(7)
+    counted = Trace(trace.scenario_id, trace.task_variant, trace.seed, _CountingEvents(trace.events))
+    window = (0.0, trace.events[-1].ts / 2)
+    for sources, view_window in (({"navigation"}, None), ({"navigation", "system"}, window)):
+        before = _CountingEvents.scans
+        first = counted.by_source(sources, view_window)
+        assert counted.by_source(frozenset(sources), view_window) is first
+        assert first == trace.by_source(sources, view_window)
+        assert _CountingEvents.scans == before + 1
 
 
 # -- selection -------------------------------------------------------------------

@@ -186,6 +186,25 @@ def test_trace_rejects_disorder_at_construction():
         Trace(scenario_id=1, task_variant=1, seed=0, events=events)
 
 
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=8))
+def test_trace_disorder_error_names_the_first_offender(stamps):
+    """The one-pass order check reports what the event-by-event loop reported."""
+    events = tuple(Event(ts, "system", "log", {"text": "x"}) for ts in stamps)
+    expected = None
+    last = 0.0
+    for i, ts in enumerate(stamps):
+        if ts < last:
+            expected = f"out-of-order timestamp at event {i + 1}: {ts:.6f} < {last:.6f}"
+            break
+        last = ts
+    if expected is None:
+        assert Trace(scenario_id=1, task_variant=1, seed=0, events=events).events == events
+    else:
+        with pytest.raises(TraceError) as excinfo:
+            Trace(scenario_id=1, task_variant=1, seed=0, events=events)
+        assert str(excinfo.value) == expected
+
+
 def test_task_plan_validity_matches_grounding_errors():
     with pytest.raises(TraceError):
         TaskPlan(instruction="x", steps=(), valid=True, grounding_errors=("oops",))
