@@ -37,30 +37,24 @@ def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> dict[str, str
     plan = trace.plan
 
     plan_steps, grounding = format_plan(plan)
-    statuses = []
+    statuses: list[str] = []
+    log_lines: list[str] = []
+    params: list[str] = []
+    other: list[str] = []
     for event in events:
-        if event.kind == "skill_status":
-            extra = {
-                k: v for k, v in event.payload.items() if k not in ("skill", "status")
-            }
+        kind = event.kind
+        payload = event.payload
+        if kind == "log":
+            log_lines.append(f"[{event.source}] " + str(payload.get("text", "")))
+        elif kind == "skill_status":
+            extra = {k: v for k, v in payload.items() if k not in ("skill", "status")}
             suffix = f" ({format_items(extra)})" if extra else ""
-            statuses.append(f"- {event.payload['skill']}: {event.payload['status']}{suffix}")
-
-    logs = filter_logs(
-        [
-            f"[{event.source}] " + str(event.payload.get("text", ""))
-            for event in events
-            if event.kind == "log"
-        ]
-    )
-    params = [
-        f"- {format_items(event.payload)}" for event in events if event.kind == "param"
-    ]
-    other = [
-        f"- {event.ts:.2f} {event.source} {event.kind}: {format_items(event.payload)}"
-        for event in events
-        if event.kind in ("detection", "dialogue")
-    ]
+            statuses.append(f"- {payload['skill']}: {payload['status']}{suffix}")
+        elif kind == "param":
+            params.append(f"- {format_items(payload)}")
+        elif kind in ("detection", "dialogue"):
+            other.append(f"- {event.ts:.2f} {event.source} {kind}: {format_items(payload)}")
+    logs = filter_logs(log_lines)
     return dict(
         instruction=plan.instruction,
         plan_steps=plan_steps,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,6 +158,10 @@ def run_grid(
         )
 
     if jobs > 1:
+        # imported here: concurrent.futures (and the logging it loads) would
+        # otherwise cost every import of hexar
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_one, work))
     else:
@@ -374,15 +377,21 @@ _ANNOTATION_COLUMNS = ["sample_id", "annotator_id", "root_cause", "incorrect_fac
 
 
 def read_annotations_csv(path: str | Path) -> list[AnnotationRow]:
-    return [
-        AnnotationRow(
-            sample_id=row["sample_id"],
-            annotator_id=int(row["annotator_id"]),
-            root_cause=int(row["root_cause"]),
-            incorrect_facts=int(row["incorrect_facts"]),
-        )
-        for _, row in read_csv_rows(path, _ANNOTATION_COLUMNS, "annotation")
-    ]
+    """Rows of an annotation CSV; a bad row raises ``ValueError`` naming its file line."""
+    rows = []
+    for line, row in read_csv_rows(path, _ANNOTATION_COLUMNS, "annotation"):
+        try:
+            rows.append(
+                AnnotationRow(
+                    sample_id=row["sample_id"],
+                    annotator_id=int(row["annotator_id"]),
+                    root_cause=int(row["root_cause"]),
+                    incorrect_facts=int(row["incorrect_facts"]),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from exc
+    return rows
 
 
 # -- report rendering -------------------------------------------------------

@@ -8,6 +8,7 @@ catalogue of known navigation situations the reasoner may recognise.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 from importlib import resources
@@ -36,7 +37,7 @@ MAX_LOG_LINES = 60
 
 
 def _filter_once(lines: list[str]) -> list[str]:
-    kept = [line for line in lines if not _DISCARD.search(line)]
+    kept = list(itertools.filterfalse(_DISCARD.search, lines))
 
     collapsed: list[str] = []
     run_start = 0
@@ -86,20 +87,18 @@ def situation_catalogue() -> str:
 
 
 def build_navigation_prompt(query: Query, events: tuple[Event, ...]) -> str:
-    log_lines = [
-        str(e.payload.get("text", ""))
-        for e in events
-        if e.kind == "log" and e.source == "navigation"
-    ]
-    filtered = filter_logs(log_lines)
+    log_lines: list[str] = []
+    params: list[str] = []
     try:
-        params = [
-            f"- {e.payload['name']} = {e.payload['value']}"
-            for e in events
-            if e.kind == "param" and e.payload.get("name") in _RELEVANT_PARAMS
-        ]
+        for e in events:
+            if e.kind == "log":
+                if e.source == "navigation":
+                    log_lines.append(str(e.payload.get("text", "")))
+            elif e.kind == "param" and e.payload.get("name") in _RELEVANT_PARAMS:
+                params.append(f"- {e.payload['name']} = {e.payload['value']}")
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
+    filtered = filter_logs(log_lines)
     return load_prompt_template("navigation").format(
         logs="\n".join(filtered) or "(no navigation logs)",
         params="\n".join(params) or "(none)",

@@ -202,6 +202,29 @@ class Attribution:
     top_present_ingredient: str | None
 
 
+def _exact_rank(matrix: list[list[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free Gaussian elimination.
+
+    Each combined row is divided by the gcd of its entries, which keeps the
+    integers small.
+    """
+    rows = [row[:] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                combined = [a * top[col] - b * rows[r][col] for a, b in zip(rows[r], top)]
+                g = math.gcd(*combined) or 1
+                rows[r] = [v // g for v in combined]
+        rank += 1
+    return rank
+
+
 def _weighted_ridge(
     rows: Sequence[tuple[int, ...]],
     targets: Sequence[float],
@@ -217,11 +240,15 @@ def _weighted_ridge(
     """
     d = len(rows[0])
     degenerate = "degenerate perturbation design; use regularization > 0"
-    # fewer distinct rows than unknowns leave the unpenalized system singular
-    if lam == 0 and len(rows) <= d:
-        raise ValueError(degenerate)
     n = d + 1
     columns = [*zip(*rows), (1,) * len(rows)]
+    # positive weights leave the unpenalized system singular exactly when
+    # [rows | 1] is; rounding can hide that from the pivots below, so the
+    # rank is taken exactly, on the integer Gram matrix
+    if lam == 0 and _exact_rank(
+        [[sum(map(operator.mul, ci, cj)) for cj in columns] for ci in columns]
+    ) < n:
+        raise ValueError(degenerate)
     weighted = [list(map(operator.mul, weights, column)) for column in columns]
     # augmented system [normal | rhs]; the normal matrix is symmetric
     system = [[0.0] * n + [math.fsum(map(operator.mul, wi, targets))] for wi in weighted]

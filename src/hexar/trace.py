@@ -8,6 +8,7 @@ immutable after construction and safe to share between concurrent readers.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Callable, Hashable, Mapping
@@ -53,7 +54,8 @@ class Event:
     payload: dict[str, Scalar]
 
     # Hand-written so that a trace line costs one call: the checks run on the
-    # arguments, then the frozen fields are set past ``__setattr__``.
+    # arguments, then the frozen fields are set past ``__setattr__`` through
+    # the slot descriptors' setters, bound once below the class.
     def __init__(self, ts: float, source: str, kind: str, payload: dict[str, Scalar]) -> None:
         if ts < 0:
             raise TraceError(f"negative event timestamp: {ts}")
@@ -69,11 +71,27 @@ class Event:
             status = payload.get("status")
             if "skill" not in payload or status not in STATUSES:
                 raise TraceError(f"malformed skill_status payload: {payload!r}")
-        _set = object.__setattr__
-        _set(self, "ts", ts)
-        _set(self, "source", source)
-        _set(self, "kind", kind)
-        _set(self, "payload", payload)
+        _set_ts(self, ts)
+        _set_source(self, source)
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+
+
+# one C call per field, where object.__setattr__ would look the name up first
+_set_ts = Event.ts.__set__
+_set_source = Event.source.__set__
+_set_kind = Event.kind.__set__
+_set_payload = Event.payload.__set__
+
+
+def _first_disorder(stamps: list[float]) -> int | None:
+    """Index of the first stamp below the one before it, or None when in order."""
+    # Event keeps every stamp finite and non-negative, so they are in order
+    # exactly when sorting (a C loop over floats) leaves them unchanged; the
+    # indexed scan runs only to find the first offender
+    if stamps == sorted(stamps):
+        return None
+    return next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
 
 
 @dataclass(frozen=True)
@@ -96,18 +114,12 @@ class Trace:
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        # Event keeps every stamp finite and non-negative, so they are in order
-        # exactly when sorting (a C loop over floats) leaves them unchanged;
-        # the indexed loop runs only to name the first offender
         stamps = [event.ts for event in self.events]
-        if stamps != sorted(stamps):
-            last = 0.0
-            for i, ts in enumerate(stamps):
-                if ts < last:
-                    raise TraceError(
-                        f"out-of-order timestamp at event {i + 1}: {ts:.6f} < {last:.6f}"
-                    )
-                last = ts
+        i = _first_disorder(stamps)
+        if i is not None:
+            raise TraceError(
+                f"out-of-order timestamp at event {i + 1}: {stamps[i]:.6f} < {stamps[i - 1]:.6f}"
+            )
         object.__setattr__(self, "_memo", {})
 
     def derived(self, key: Hashable, compute: Callable[[], _T]) -> _T:
@@ -130,12 +142,13 @@ class Trace:
         key = (frozenset(sources), window)
         view = self._memo.get(key)
         if view is None:
+            # list comprehensions: a generator costs a resumption per event
             if window is None:
-                view = tuple(e for e in self.events if e.source in sources)
+                view = tuple([e for e in self.events if e.source in sources])
             else:
                 start, end = window
                 view = tuple(
-                    e for e in self.events if e.source in sources and start <= e.ts <= end
+                    [e for e in self.events if e.source in sources and start <= e.ts <= end]
                 )
             self._memo[key] = view
         return view
@@ -339,7 +352,8 @@ def read_trace(path: str | Path) -> Trace:
     blank lines after the header are skipped. Each line is decoded on its
     own, so a record split over two lines or two records on one line are
     rejected. Undecodable bytes, over-deep nesting and out-of-range numbers
-    raise ``TraceError`` too.
+    raise ``TraceError`` too. An error names the file line of the first
+    fault: a malformed line, or the first event out of order.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -358,8 +372,15 @@ def read_trace(path: str | Path) -> Trace:
     except _LINE_ERRORS as exc:
         raise TraceError(f"{path}: malformed header at line 1: {exc}") from exc
 
+    # One record is decoded and dropped per line, so the live objects stay at
+    # one Event and its payload per line: decoding the whole body at once
+    # keeps every record alive and sends more of them through the collector.
+    # Timestamp order is left to Trace, and the file is walked again for the
+    # line of the offender only when that check fails.
     events: list[Event] = []
-    last_ts = 0.0
+    append = events.append
+    scan_once = _DECODER.scan_once
+    new_event = Event
     for lineno, raw in enumerate(raw_lines[1:], start=2):
         try:
             # json.loads(raw) makes this same scan when no whitespace leads;
@@ -367,29 +388,51 @@ def read_trace(path: str | Path) -> Trace:
             # extra data, malformed) goes to json.loads, which also gives
             # the exact error
             try:
-                record, end = _DECODER.scan_once(raw, 0)
+                record, end = scan_once(raw, 0)
             except (StopIteration, json.JSONDecodeError):
                 end = -1
             if end != len(raw):
                 if not raw.strip():
                     continue
                 record = json.loads(raw)
-            event = Event(
-                float(record["ts"]),
-                str(record["source"]),
-                str(record["kind"]),
-                dict(record["payload"]),
-            )
+            ts = float(record["ts"])
+            source = str(record["source"])
+            kind = str(record["kind"])
+            payload = record["payload"]
+            # the dict the decoder has just built is this event's own
+            if type(payload) is not dict:
+                payload = dict(payload)
+            append(new_event(ts, source, kind, payload))
         except _LINE_ERRORS as exc:
+            # an event out of order on an earlier line is the first fault
+            disorder = _disorder_error(path, raw_lines, events)
+            if disorder is not None:
+                raise disorder from None
             raise TraceError(f"{path}: malformed event at line {lineno}: {exc}") from exc
-        if event.ts < last_ts:
-            raise TraceError(
-                f"{path}: ordering violation at event {len(events) + 1} (file line {lineno}): "
-                f"ts {event.ts:.6f} precedes {last_ts:.6f}"
-            )
-        last_ts = event.ts
-        events.append(event)
-    return Trace(scenario_id=scenario_id, task_variant=task_variant, seed=seed, events=tuple(events))
+    try:
+        return Trace(
+            scenario_id=scenario_id, task_variant=task_variant, seed=seed, events=tuple(events)
+        )
+    except TraceError:
+        # the one check Trace makes is timestamp order
+        raise _disorder_error(path, raw_lines, events) from None
+
+
+def _disorder_error(
+    path: str | Path, raw_lines: list[str], events: list[Event]
+) -> TraceError | None:
+    """The error naming the first of ``events`` out of order and its file line, if any."""
+    stamps = [event.ts for event in events]
+    i = _first_disorder(stamps)
+    if i is None:
+        return None
+    # each non-blank line after the header up to the offender holds one event
+    event_lines = (n for n, raw in enumerate(raw_lines[1:], start=2) if raw.strip())
+    lineno = next(itertools.islice(event_lines, i, None))
+    return TraceError(
+        f"{path}: ordering violation at event {i + 1} (file line {lineno}): "
+        f"ts {stamps[i]:.6f} precedes {stamps[i - 1]:.6f}"
+    )
 
 
 def validate_trace(trace: Trace) -> None:

@@ -602,6 +602,37 @@ def test_report_short_annotation_row_is_usage_error(tmp_path, small_manifest, ca
     _assert_short_row_error(code, err, annotations)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("s03v1q1_hexar,x,1,0", "invalid literal for int() with base 10: 'x'"),
+        ("s03v1q1_hexar,7,1,0", "annotator_id must be 1..3, got 7"),
+    ],
+)
+def test_report_bad_annotation_row_names_file_and_line(
+    tmp_path, small_manifest, capsys, row, message
+):
+    results = _results(tmp_path, small_manifest, capsys)
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text(
+        f"sample_id,annotator_id,root_cause,incorrect_facts\ns03v1q1_hexar,1,1,0\n{row}\n"
+    )
+    code, _, err = run(
+        [
+            "report",
+            "--results",
+            str(results),
+            "--annotations",
+            str(annotations),
+            "--out",
+            str(tmp_path / "rep"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: {annotations}: line 3: {message}\n"
+
+
 def test_report_short_results_row_is_usage_error(tmp_path, small_manifest, capsys):
     results = _results(tmp_path, small_manifest, capsys)
     header = results.read_text().splitlines()[0]

@@ -240,6 +240,49 @@ def test_degenerate_design_without_regularization_raises():
             lime_attribute(tree, tuple([0] * D), "margherita", cfg)
 
 
+def _rank_mod_prime(matrix, p=2**31 - 1):
+    """Rank over GF(p). For a 0/1 matrix with at most 11 columns it is the
+    rank over the rationals: by Hadamard's bound every minor is below 1459 in
+    absolute value, so p divides none that is non-zero."""
+    rows = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                factor = rows[r][col] * inverse % p
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def test_unregularized_fit_raises_exactly_when_the_design_is_rank_deficient():
+    """Rounding can leave a tiny non-zero pivot where [rows | 1] is singular;
+    the exact rank decides. The sweep holds both outcomes, also with at
+    least D + 1 distinct perturbations."""
+    tree = default_tree()
+    x = tuple([0] * D)
+    deficient = 0
+    for n in (12, 14, 16, 20):
+        for seed in range(200):
+            rng = random.Random(seed)
+            samples = [x] + [tuple(rng.randint(0, 1) for _ in range(D)) for _ in range(n - 1)]
+            singular = _rank_mod_prime([[*z, 1] for z in samples]) < D + 1
+            deficient += singular
+            cfg = LimeConfig(n_samples=n, seed=seed, regularization=0.0)
+            if singular:
+                with pytest.raises(ValueError, match="degenerate perturbation design"):
+                    lime_attribute(tree, x, "margherita", cfg)
+            else:
+                assert len(lime_attribute(tree, x, "margherita", cfg).weights) == D
+    assert deficient == 19
+
+
 def oracle_weighted_ridge(tree, x, target_class, cfg):
     """The sampled fit via SVD-based lstsq on sqrt(w)-scaled rows plus
     sqrt(lambda) penalty rows, on the package's seeded draws."""

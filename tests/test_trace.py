@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
@@ -354,16 +355,21 @@ def test_round_trip_escapes_lone_surrogates(tmp_path):
     assert read_trace(path) == trace
 
 
-@pytest.mark.parametrize("pad", [0, 500])
-def test_read_trace_decodes_only_the_header_the_slow_way(tmp_path, monkeypatch, pad):
-    # every event line of write_trace output must take the single-scan path
+def _padded_trace(pad: int) -> Trace:
+    """A grid trace with ``pad`` navigation log lines appended."""
     trace = generate_trace(7, 1, 0)
     last = trace.events[-1].ts
     pads = tuple(
         Event(round(last + (i + 1) / 1000, 6), "navigation", "log", {"text": "Publishing"})
         for i in range(pad)
     )
-    trace = Trace(trace.scenario_id, trace.task_variant, trace.seed, trace.events + pads)
+    return Trace(trace.scenario_id, trace.task_variant, trace.seed, trace.events + pads)
+
+
+@pytest.mark.parametrize("pad", [0, 500])
+def test_read_trace_decodes_only_the_header_the_slow_way(tmp_path, monkeypatch, pad):
+    # every event line of write_trace output must take the single-scan path
+    trace = _padded_trace(pad)
     path = tmp_path / "t.trace"
     write_trace(trace, path)
     calls = []
@@ -376,6 +382,33 @@ def test_read_trace_decodes_only_the_header_the_slow_way(tmp_path, monkeypatch, 
     monkeypatch.setattr(trace_module.json, "loads", counting)
     assert read_trace(path) == trace
     assert calls == [path.read_text(encoding="utf-8").split("\n")[0]]
+
+
+def test_read_trace_keeps_no_more_objects_alive_at_once(tmp_path):
+    """Reading decodes one record at a time, so the collector's gen-0 count
+    grows by about two a line (the Event and its payload); decoding the whole
+    body at once holds every record as well and sets off a collection here."""
+    trace = _padded_trace(562 - len(generate_trace(7, 1, 0).events))
+    assert len(trace.events) == 562
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    assert gc.isenabled()
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(int(2.5 * len(trace.events)), *threshold[1:])
+    gc.callbacks.append(record)
+    try:
+        read_trace(path)
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+    assert collections == []
 
 
 # -- differential oracle: the reader before the single-scan fast path ---------
@@ -522,4 +555,72 @@ def _outcome(reader, path):
 def test_read_trace_matches_the_oracle(tmp_path_factory, defect, data):
     path = tmp_path_factory.mktemp("diff") / "t.trace"
     path.write_bytes(data.draw(trace_files(defect)).encode("utf-8"))
+    assert _outcome(read_trace, path) == _outcome(oracle_read_trace, path)
+
+
+def _with_defect(line: str, defect: str, draw) -> list[str]:
+    """The lines that replace one write_trace event line given ``defect``."""
+    record = json.loads(line)
+    if defect == "bom":
+        return ["\ufeff" + line]
+    if defect == "split":
+        cut = draw(st.integers(1, len(line) - 1))
+        return [line[:cut], line[cut:]]
+    if defect == "two_records":
+        return [line + line]
+    if defect == "non_object":
+        return [draw(st.sampled_from(["[1, 2]", "5", '"x"', "null"]))]
+    if defect == "missing_key":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif defect == "bad_value":
+        record[draw(st.sampled_from(["source", "kind"]))] = "warp_drive"
+    elif defect == "string_ts":
+        record["ts"] = str(record["ts"])
+    elif defect == "negative_ts":
+        record["ts"] = -0.5
+    elif defect == "list_payload":
+        record["payload"] = sorted(record["payload"].items())
+    elif defect == "odd_padding":
+        return ["\x0c" + line + " "]
+    elif defect == "blank":
+        return [line, draw(st.sampled_from(["", " \t ", "\xa0"]))]
+    return [json.dumps(record, ensure_ascii=False)]
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        "bom",
+        "split",
+        "two_records",
+        "non_object",
+        "missing_key",
+        "bad_value",
+        "string_ts",
+        "negative_ts",
+        "out_of_order",
+        "list_payload",
+        "odd_padding",
+        "blank",
+    ],
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_read_trace_matches_the_oracle_on_long_files(tmp_path_factory, defect, data):
+    """A 562-event write_trace file with one defect on a drawn line, and at
+    times a malformed line after it: the first fault in the file is named."""
+    directory = tmp_path_factory.mktemp("long")
+    trace = _padded_trace(562 - len(generate_trace(7, 1, 0).events))
+    write_trace(trace, directory / "clean.trace")
+    lines = (directory / "clean.trace").read_text(encoding="utf-8").split("\n")
+    at = data.draw(st.integers(2, len(lines) - 2))
+    if defect == "out_of_order":
+        # move the line earlier, past events with smaller timestamps
+        lines.insert(at - data.draw(st.integers(1, min(at - 1, 50))), lines.pop(at))
+    else:
+        lines[at:at + 1] = _with_defect(lines[at], defect, data.draw)
+    if at + 1 < len(lines) - 1 and data.draw(st.booleans()):
+        lines[data.draw(st.integers(at + 1, len(lines) - 2))] = "[1, 2]"
+    path = directory / "t.trace"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
     assert _outcome(read_trace, path) == _outcome(oracle_read_trace, path)
