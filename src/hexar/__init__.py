@@ -12,7 +12,6 @@ from .framework import (
     ExplainerRegistry,
     SelectorDecision,
     aggregate,
-    build_context,
     explain_hexar,
     select,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TaskPlan",
     "Trace",
     "aggregate",
-    "build_context",
     "explain_hexar",
     "read_trace",
     "select",

@@ -15,20 +15,14 @@ from .framework import (
     ExplainerRegistry,
     ReasonerMeter,
     aggregate,
-    build_context,
     run_explainer,
 )
 from .reasoner import TextReasoner, load_prompt_template
-from .trace import Event, Explanation, Query, Trace
+from .trace import Explanation, Query, Trace
 
 
 def _source_union(registry: ExplainerRegistry) -> frozenset[str]:
     return frozenset().union(*(e.subscribed_sources for e in registry.explainers.values()))
-
-
-def end_to_end_view(trace: Trace, registry: ExplainerRegistry) -> tuple[Event, ...]:
-    """Events the end-to-end prompt may draw on: the union of all explainer views."""
-    return trace.by_source(_source_union(registry))
 
 
 def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> dict[str, str]:
@@ -111,11 +105,11 @@ def explain_all_components(
     aggregation input rather than aborting the baseline; a bug propagates.
     """
     meter = ReasonerMeter(reasoner)
-    context = build_context(query, trace)
+    trace.plan  # a trace without a plan fails the answer, not each explainer
 
     def run_one(explainer_id: str) -> str:
         try:
-            return run_explainer(registry.explainers[explainer_id], query, context, trace, meter)
+            return run_explainer(registry.explainers[explainer_id], query, trace, meter)
         except ANSWER_ERRORS as exc:  # degraded, never fatal for the sweep
             return f"[{explainer_id} explainer produced no answer: {exc}]"
 

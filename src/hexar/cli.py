@@ -106,6 +106,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        return _fail(f"seed must be non-negative: {args.seed}")
     try:
         if args.manifest:
             triples = read_manifest(args.manifest)

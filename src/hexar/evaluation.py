@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,8 +334,9 @@ def read_results_csv(path: str | Path) -> list[EvalRecord]:
 
     A field that does not parse, an unknown method, a point off the
     evaluation grid, a ``sample_id`` that does not match the row's fields
-    or one that an earlier row has already raises ``ValueError`` naming the
-    file and the sample.
+    or one that an earlier row has already, a negative or non-finite cost
+    or a ``selected_ok`` that is not ``0`` or ``1`` for hexar and empty for
+    the baselines raises ``ValueError`` naming the file and the sample.
     """
     records = []
     seen: set[str] = set()
@@ -345,11 +347,21 @@ def read_results_csv(path: str | Path) -> list[EvalRecord]:
             seen.add(row["sample_id"])
             if row["method"] not in METHODS:
                 raise ValueError(f"unknown method {row['method']!r}")
+            selected_ok = row["selected_ok"]
+            if selected_ok not in (("0", "1") if row["method"] == "hexar" else ("",)):
+                raise ValueError(f"impossible selected_ok for {row['method']}: {selected_ok!r}")
             point = (int(row["scenario_id"]), int(row["task_variant"]), int(row["query_index"]))
             check_grid_point(point)
             expected_id = _sample_id(*point, row["method"])
             if row["sample_id"] != expected_id:
                 raise ValueError(f"sample_id does not match the row's fields ({expected_id})")
+            reasoner_calls = int(row["reasoner_calls"])
+            wall_time = float(row["wall_time"])
+            if reasoner_calls < 0:
+                raise ValueError(f"negative reasoner_calls: {reasoner_calls}")
+            # NaN compares false both ways, so only this form rejects it
+            if not 0 <= wall_time < math.inf:
+                raise ValueError(f"wall_time must be finite and non-negative: {wall_time}")
             records.append(
                 EvalRecord(
                     sample_id=row["sample_id"],
@@ -359,11 +371,9 @@ def read_results_csv(path: str | Path) -> list[EvalRecord]:
                     method=row["method"],
                     explanation_text=row["explanation_text"],
                     produced_by=row["produced_by"],
-                    reasoner_calls=int(row["reasoner_calls"]),
-                    wall_time=float(row["wall_time"]),
-                    selected_ok=(
-                        None if row["selected_ok"] == "" else bool(int(row["selected_ok"]))
-                    ),
+                    reasoner_calls=reasoner_calls,
+                    wall_time=wall_time,
+                    selected_ok=None if selected_ok == "" else selected_ok == "1",
                 )
             )
         except ValueError as exc:

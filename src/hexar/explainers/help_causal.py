@@ -2,8 +2,8 @@
 
 The help skill runs a fixed state machine: detect a person, approach them,
 ask for help, wait for confirmation. Each stage is modelled as a gate over
-an execution variable; explanations answer "why this outcome and not that
-one" with minimal single-variable interventions.
+an execution variable; explanations answer "why this outcome and not
+success" with a minimal single-variable intervention.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class Gate:
     predicate: Callable[[HelpVariables], bool]
     failure: HelpOutcome
     passing_value: object  # value on the passing side of the predicate boundary
-    failing_value: object
 
 
 # Ordered gates mirroring the skill's state machine.
@@ -85,42 +84,36 @@ GATES = (
         lambda v: v.n_humans >= 1,
         HelpOutcome.NO_HUMAN_FOUND,
         1,
-        0,
     ),
     Gate(
         "min_distance",
         lambda v: v.min_distance is not None and v.min_distance <= D_MAX,
         HelpOutcome.HUMAN_TOO_FAR,
         D_MAX,
-        None,
     ),
     Gate(
         "detection_duration",
         lambda v: v.detection_duration >= T_STABLE,
         HelpOutcome.UNSTABLE_DETECTION,
         T_STABLE,
-        0.0,
     ),
     Gate(
         "path_feasible",
         lambda v: v.path_feasible,
         HelpOutcome.APPROACH_FAILED,
         True,
-        False,
     ),
     Gate(
         "response",
         lambda v: v.response is HelpResponse.AGREE,
         HelpOutcome.HELP_REFUSED,
         HelpResponse.AGREE,
-        HelpResponse.REFUSE,
     ),
     Gate(
         "confirmation",
         lambda v: v.confirmation,
         HelpOutcome.NO_CONFIRMATION,
         True,
-        False,
     ),
 )
 
@@ -224,55 +217,20 @@ class CounterfactualResult:
     resulting: HelpOutcome
 
 
-class MultiCauseError(RuntimeError):
-    """No single-variable intervention reaches the desired outcome."""
+def counterfactual(v: HelpVariables) -> CounterfactualResult:
+    """Minimal single-variable intervention toward success.
 
-    def __init__(self, failing_gates: list[str]):
-        self.failing_gates = failing_gates
-        super().__init__(
-            "multiple causes prevent the desired outcome: " + ", ".join(failing_gates)
-        )
-
-
-def _gate_index(outcome: HelpOutcome) -> int:
-    for i, gate in enumerate(GATES):
-        if gate.failure is outcome:
-            return i
-    return len(GATES)  # success sits past the last gate
-
-
-def counterfactual(
-    v: HelpVariables, desired: HelpOutcome = HelpOutcome.SUCCESS
-) -> CounterfactualResult:
-    """Minimal single-variable intervention toward ``desired``.
-
-    For success-directed queries the failed gate's variable is set exactly
-    to its boundary value, which moves execution past that gate; the
-    resulting outcome may still be a later gate's failure. For a desired
-    failure outcome, the gate separating the realized and desired outcomes
-    is targeted instead.
+    The failed gate's variable is set exactly to its boundary value, which
+    moves execution past that gate; the resulting outcome may still be a
+    later gate's failure.
     """
     realized = evaluate_model(v)
-    if realized is desired:
-        raise ValueError(f"realized outcome already equals desired ({desired.value})")
-
-    realized_idx = _gate_index(realized)
-    desired_idx = _gate_index(desired)
-
-    if desired_idx < realized_idx:
-        # Make an earlier (currently passing) gate fail.
-        gate = GATES[desired_idx]
-        observed = getattr(v, gate.variable)
-        intervened = replace(v, **{gate.variable: gate.failing_value})
-        resulting = evaluate_model(intervened)
-        return CounterfactualResult(realized, gate.variable, observed, gate.failing_value, resulting)
-
-    gate = GATES[realized_idx]
+    if realized is HelpOutcome.SUCCESS:
+        raise ValueError(f"realized outcome already equals desired ({realized.value})")
+    gate = next(g for g in GATES if g.failure is realized)
     observed = getattr(v, gate.variable)
     intervened = replace(v, **{gate.variable: gate.passing_value})
     resulting = evaluate_model(intervened)
-    if desired is not HelpOutcome.SUCCESS and resulting is not desired:
-        raise MultiCauseError([g.variable for g in GATES[:desired_idx] if not g.predicate(v)])
     return CounterfactualResult(realized, gate.variable, observed, gate.passing_value, resulting)
 
 

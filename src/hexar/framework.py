@@ -1,4 +1,4 @@
-"""Explainer registry, selection, context, dispatch and cost metering.
+"""Explainer registry, selection, dispatch and cost metering.
 
 A component explainer subscribes to a subset of robot modules and turns a
 query plus context into natural-language text. The selector picks exactly
@@ -131,19 +131,6 @@ class SelectorStage(str, Enum):
 class SelectorDecision:
     chosen: str
     stage: SelectorStage
-    context: ContextVector
-
-
-def build_context(query: Query, trace: Trace) -> ContextVector:
-    """The parsed plan, per-skill latest statuses and the time window."""
-    plan = trace.plan  # raises TraceError when the plan event is missing
-    latest = trace.latest_statuses
-    skills = tuple((step.skill, latest.get(step.skill, "waiting")) for step in plan.steps)
-    events = trace.events
-    start = events[0].ts if events else 0.0
-    end = min(events[-1].ts, query.asked_at) if events else query.asked_at
-    end = max(start, end)
-    return ContextVector(plan=plan, skills=skills, window=(start, end))
 
 
 def build_classifier_prompt(query: Query, registry: ExplainerRegistry) -> str:
@@ -166,14 +153,13 @@ def select(
     Stage 2: the query text is classified by the reasoner. An unknown
     classifier answer is an error, never a silent default.
     """
-    context = build_context(query, trace)
-    if not context.plan.valid:
+    if not trace.plan.valid:  # raises TraceError when the plan event is missing
         chosen = registry.explainer_for_module("planner")
-        return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)
+        return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC)
     failed_skill = trace.earliest_failed_skill
     if failed_skill is not None:
         chosen = registry.explainer_for_module(failed_skill)
-        return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC, context)
+        return SelectorDecision(chosen, SelectorStage.FAILURE_HEURISTIC)
 
     response = reasoner.complete_text(
         system_prompt="You route user questions to robot component explainers.",
@@ -183,19 +169,18 @@ def select(
     answer = response.text.strip()
     if answer not in registry.explainers:
         raise SelectionError(f"classifier returned unknown explainer id {answer!r}")
-    return SelectorDecision(answer, SelectorStage.QUERY_CLASSIFIER, context)
+    return SelectorDecision(answer, SelectorStage.QUERY_CLASSIFIER)
 
 
 def run_explainer(
     explainer: ComponentExplainer,
     query: Query,
-    context: ContextVector,
     trace: Trace,
     reasoner: TextReasoner,
 ) -> str:
-    """Run one explainer on its subscribed events inside the context window."""
-    events = trace.by_source(explainer.subscribed_sources, window=context.window)
-    text = explainer.explain_fn(query, context, events, reasoner)
+    """Run one explainer on the trace's context and all its subscribed events."""
+    events = trace.by_source(explainer.subscribed_sources)
+    text = explainer.explain_fn(query, trace.context, events, reasoner)
     if not text:
         raise TraceError("explanation text must be non-empty")
     return text
@@ -224,8 +209,8 @@ def explain_hexar(
     registry: ExplainerRegistry,
     reasoner: TextReasoner,
 ) -> Explanation:
-    """Full pipeline: select one explainer, build context, dispatch."""
+    """Full pipeline: select one explainer, then run it."""
     meter = ReasonerMeter(reasoner)
     decision = select(query, trace, registry, meter)
-    text = run_explainer(registry.explainers[decision.chosen], query, decision.context, trace, meter)
+    text = run_explainer(registry.explainers[decision.chosen], query, trace, meter)
     return meter.explanation(text, decision.chosen)

@@ -99,9 +99,10 @@ class Trace:
     """An ordered event sequence for one scenario execution.
 
     Views derived from the events alone (``by_source``, ``plan``,
-    ``latest_statuses``, ``earliest_failed_skill`` and what callers keep with
-    ``derived``) are computed on first use and kept by this instance, because
-    one recording is asked many questions. They live and die with the
+    ``latest_statuses``, ``context``, ``earliest_failed_skill`` and what
+    callers keep with ``derived``) are computed on first use and kept by
+    this instance, because one recording is asked many questions. Every
+    method answers over the whole trace. They live and die with the
     instance: ``dataclasses.replace`` gives a copy with none kept, and
     equality and ``repr`` ignore them. Every ``Event`` payload must therefore
     stay unmodified once the trace is built. Threads may share a trace; two
@@ -132,24 +133,14 @@ class Trace:
             memo[key] = compute()
         return memo[key]
 
-    def by_source(
-        self,
-        sources: frozenset[str] | set[str],
-        window: tuple[float, float] | None = None,
-    ) -> tuple[Event, ...]:
-        """Events from ``sources``, optionally only those with ``start <= ts <= end``."""
+    def by_source(self, sources: frozenset[str] | set[str]) -> tuple[Event, ...]:
+        """Events from ``sources``, in trace order."""
         # the memo inlined, without a closure: every explainer dispatch calls this
-        key = (frozenset(sources), window)
+        key = frozenset(sources)
         view = self._memo.get(key)
         if view is None:
-            # list comprehensions: a generator costs a resumption per event
-            if window is None:
-                view = tuple([e for e in self.events if e.source in sources])
-            else:
-                start, end = window
-                view = tuple(
-                    [e for e in self.events if e.source in sources and start <= e.ts <= end]
-                )
+            # a list comprehension: a generator costs a resumption per event
+            view = tuple([e for e in self.events if e.source in sources])
             self._memo[key] = view
         return view
 
@@ -173,6 +164,13 @@ class Trace:
             if event.kind == "skill_status":
                 latest[str(event.payload["skill"])] = str(event.payload["status"])
         return latest
+
+    @functools.cached_property
+    def context(self) -> "ContextVector":
+        """The plan and each plan step's latest status, ``"waiting"`` if it has none."""
+        latest = self.latest_statuses
+        skills = tuple((step.skill, latest.get(step.skill, "waiting")) for step in self.plan.steps)
+        return ContextVector(plan=self.plan, skills=skills)
 
     @functools.cached_property
     def earliest_failed_skill(self) -> str | None:
@@ -240,7 +238,11 @@ class TaskPlan:
 
 @dataclass(frozen=True)
 class Query:
-    """An explanation-seeking user question."""
+    """An explanation-seeking user question.
+
+    ``asked_at`` records when the question was asked; every method answers
+    it over the whole trace.
+    """
 
     text: str
     asked_at: float
@@ -256,11 +258,6 @@ class ContextVector:
 
     plan: TaskPlan
     skills: tuple[tuple[str, str], ...]  # (skill, latest status), plan order
-    window: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.window[0] > self.window[1]:
-            raise TraceError(f"empty context window: {self.window}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
+from hexar import baselines
 from hexar.baselines import (
     build_end_to_end_prompt,
-    end_to_end_view,
     explain_all_components,
     explain_end_to_end,
 )
@@ -18,7 +18,6 @@ from hexar.framework import (
     ComponentExplainer,
     ExplainerError,
     ExplainerRegistry,
-    build_context,
     explain_hexar,
 )
 from hexar.reasoner import ReasonerRequest, ReasonerResponse, TextReasoner
@@ -61,10 +60,7 @@ def test_end_to_end_prompt_is_longer_than_navigation_prompt(registry, trace_cach
     trace = trace_cache(9)
     query = _query(trace)
     e2e = build_end_to_end_prompt(query, trace, registry)
-    context = build_context(query, trace)
-    nav_prompt = build_navigation_prompt(
-        query, trace.by_source(frozenset({"navigation", "system"}), window=context.window)
-    )
+    nav_prompt = build_navigation_prompt(query, trace.by_source({"navigation", "system"}))
     assert len(e2e) > len(nav_prompt)
 
 
@@ -78,7 +74,9 @@ def test_information_parity_with_union_of_views(registry, trace_cache):
         union = set()
         for explainer in registry.explainers.values():
             union.update(_event_key(e) for e in trace.by_source(explainer.subscribed_sources))
-        reachable = Counter(_event_key(e) for e in end_to_end_view(trace, registry))
+        # the view the end-to-end evidence is built from
+        view = trace.by_source(baselines._source_union(registry))
+        reachable = Counter(_event_key(e) for e in view)
         assert reachable == Counter(sorted(union))
 
 

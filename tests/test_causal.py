@@ -17,7 +17,6 @@ from hexar.explainers.help_causal import (
     HelpOutcome,
     HelpResponse,
     HelpVariables,
-    MultiCauseError,
     counterfactual,
     evaluate_model,
     explain_help,
@@ -194,29 +193,6 @@ def test_counterfactual_is_deterministic():
     assert a == b
 
 
-def test_counterfactual_multi_cause_error_lists_failing_gates():
-    v = passing_variables(
-        n_humans=0,
-        min_distance=None,
-        detection_duration=0.0,
-        response=HelpResponse.NONE,
-        confirmation=False,
-    )
-    with pytest.raises(MultiCauseError) as excinfo:
-        counterfactual(v, desired=HelpOutcome.NO_CONFIRMATION)
-    assert "n_humans" in excinfo.value.failing_gates
-    assert "min_distance" in excinfo.value.failing_gates
-
-
-def test_counterfactual_toward_earlier_gate_uses_failing_value():
-    v = passing_variables(response=HelpResponse.REFUSE, confirmation=False)
-    assert evaluate_model(v) is HelpOutcome.HELP_REFUSED
-    result = counterfactual(v, desired=HelpOutcome.HUMAN_TOO_FAR)
-    assert result.variable == "min_distance"
-    assert result.intervention is None  # the absent marker fails the distance gate
-    assert result.resulting is HelpOutcome.HUMAN_TOO_FAR
-
-
 def test_render_counterfactual_uses_exact_template():
     result = CounterfactualResult(
         realized=HelpOutcome.HUMAN_TOO_FAR,
@@ -276,7 +252,6 @@ def _context() -> ContextVector:
     return ContextVector(
         plan=TaskPlan("Get someone to hold the door open for you", (), True, ()),
         skills=(("ask_human_for_help", "failed"),),
-        window=(0.0, 100.0),
     )
 
 

@@ -489,6 +489,22 @@ def test_evaluate_rejects_unknown_method(tmp_path, small_manifest, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "7", "--task", "1"],
+        ["evaluate", "--methods", "hexar"],
+    ],
+)
+def test_negative_seed_is_usage_error(tmp_path, small_manifest, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "evaluate":
+        argv = argv + ["--manifest", str(small_manifest)]
+    code, _, err = run(argv + ["--seed", "-1", "--out", str(out)], capsys)
+    assert (code, err) == (2, "error: seed must be non-negative: -1\n")
+    assert not out.exists()
+
+
 def test_report_auto_annotate(tmp_path, small_manifest, capsys):
     results = tmp_path / "results.csv"
     run(
@@ -671,6 +687,13 @@ def test_report_unknown_method_is_usage_error(tmp_path, small_manifest, capsys):
         ("sample_id", "s99v9q9_hexar", "does not match the row's fields (s03v1q1_hexar)"),
         ("scenario_id", "x", "invalid literal for int() with base 10: 'x'"),
         ("wall_time", "soon", "could not convert string to float: 'soon'"),
+        ("wall_time", "nan", "wall_time must be finite and non-negative: nan"),
+        ("wall_time", "inf", "wall_time must be finite and non-negative: inf"),
+        ("wall_time", "-0.5", "wall_time must be finite and non-negative: -0.5"),
+        ("reasoner_calls", "-1", "negative reasoner_calls: -1"),
+        ("selected_ok", "2", "impossible selected_ok for hexar: '2'"),
+        ("selected_ok", "", "impossible selected_ok for hexar: ''"),
+        ("method", "end_to_end", "impossible selected_ok for end_to_end: '"),
     ],
 )
 def test_report_bad_results_row_is_usage_error(

@@ -11,12 +11,8 @@ from hexar.explainers.navigation import (
 )
 from hexar.explainers.planner import build_planner_prompt, explain_planner
 from hexar.explainers.tts import NO_PROBLEM_TEMPLATE, explain_tts
-from hexar.framework import build_context, explain_hexar
+from hexar.framework import explain_hexar
 from hexar.trace import Query
-
-
-def _context(trace, query):
-    return build_context(query, trace)
 
 
 def _events(trace, sources):
@@ -29,7 +25,7 @@ def _events(trace, sources):
 def test_planner_explains_invalid_parameters(trace_cache, registry, rule_reasoner):
     trace = trace_cache(2)
     query = Query("What happened?", trace.events[-1].ts)
-    text = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
+    text = explain_planner(query, trace.context, _events(trace, {"planner"}), rule_reasoner)
     assert "invalid parameter" in text
     hexar = explain_hexar(query, trace, registry, rule_reasoner)
     assert (hexar.text, hexar.produced_by, hexar.reasoner_calls) == (text, "planner", 1)
@@ -38,7 +34,7 @@ def test_planner_explains_invalid_parameters(trace_cache, registry, rule_reasone
 def test_planner_explains_missing_capability(trace_cache, rule_reasoner):
     trace = trace_cache(4)
     query = Query("Why didn't you do what I asked?", trace.events[-1].ts)
-    text = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
+    text = explain_planner(query, trace.context, _events(trace, {"planner"}), rule_reasoner)
     assert "unable to complete" in text
     assert "no available skill" in text
 
@@ -46,7 +42,7 @@ def test_planner_explains_missing_capability(trace_cache, rule_reasoner):
 def test_planner_explains_unfulfilled_request(trace_cache, rule_reasoner):
     trace = trace_cache(3)
     query = Query("Why didn't you complete my request?", trace.events[-1].ts)
-    text = explain_planner(query, _context(trace, query), _events(trace, {"planner"}), rule_reasoner)
+    text = explain_planner(query, trace.context, _events(trace, {"planner"}), rule_reasoner)
     assert "does not fulfil the request" in text
     assert "living room" in text
 
@@ -55,7 +51,7 @@ def test_planner_prompt_preserves_section_order(trace_cache):
     trace = trace_cache(2)
     query = Query("What happened?", trace.events[-1].ts)
     plan = trace.plan
-    prompt = build_planner_prompt(query, _context(trace, query))
+    prompt = build_planner_prompt(query, trace.context)
     positions = [
         prompt.index("## Instruction"),
         prompt.index("## Plan"),
@@ -72,7 +68,7 @@ def test_planner_prompt_omits_grounding_section_when_clean(trace_cache):
     trace = trace_cache(3)
     query = Query("What happened?", trace.events[-1].ts)
     plan = trace.plan
-    prompt = build_planner_prompt(query, _context(trace, query))
+    prompt = build_planner_prompt(query, trace.context)
     assert "## Grounding errors" not in prompt
 
 
@@ -83,7 +79,7 @@ def test_tts_timeout_template_substitutes_length(trace_cache, registry, rule_rea
     trace = trace_cache(19)
     query = Query("Why did you stop talking mid-announcement?", trace.events[-1].ts)
     events = _events(trace, {"text_to_speech"})
-    text = explain_tts(query, _context(trace, query), events)
+    text = explain_tts(query, trace.context, events)
     assert "timed out before the utterance was complete" in text
     length = next(int(e.payload["length"]) for e in events if "length" in e.payload)
     assert f"{length} characters" in text
@@ -94,14 +90,14 @@ def test_tts_timeout_template_substitutes_length(trace_cache, registry, rule_rea
 def test_tts_no_problem_on_success(trace_cache):
     trace = trace_cache(3)
     query = Query("What happened?", trace.events[-1].ts)
-    text = explain_tts(query, _context(trace, query), _events(trace, {"text_to_speech"}))
+    text = explain_tts(query, trace.context, _events(trace, {"text_to_speech"}))
     assert text == NO_PROBLEM_TEMPLATE
 
 
 def test_tts_no_problem_without_events(trace_cache, registry, rule_reasoner):
     trace = trace_cache(20)
     query = Query("Why did you stop talking?", trace.events[-1].ts)
-    text = explain_tts(query, _context(trace, query), ())
+    text = explain_tts(query, trace.context, ())
     assert text == NO_PROBLEM_TEMPLATE
     # the classifier's call is the only one: the explainer itself makes none
     hexar = explain_hexar(query, trace, registry, rule_reasoner)
@@ -173,7 +169,7 @@ def _nav_events(trace):
 def test_navigation_explains_joystick(trace_cache, rule_reasoner):
     trace = trace_cache(6)
     query = Query("Is something overriding your controls?", trace.events[-1].ts)
-    text = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
+    text = explain_navigation(query, trace.context, _nav_events(trace), rule_reasoner)
     assert "joystick controller is enabled" in text
     assert "overriding autonomous navigation" in text
 
@@ -181,14 +177,14 @@ def test_navigation_explains_joystick(trace_cache, rule_reasoner):
 def test_navigation_explains_replanning(trace_cache, rule_reasoner):
     trace = trace_cache(9)
     query = Query("Why did you keep changing your path?", trace.events[-1].ts)
-    text = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
+    text = explain_navigation(query, trace.context, _nav_events(trace), rule_reasoner)
     assert "forced the robot to replan" in text
 
 
 def test_navigation_speed_answer_makes_no_failure_claim(trace_cache, rule_reasoner):
     trace = trace_cache(10)
     query = Query("Why are you so slow?", trace.events[-1].ts)
-    text = explain_navigation(query, _context(trace, query), _nav_events(trace), rule_reasoner)
+    text = explain_navigation(query, trace.context, _nav_events(trace), rule_reasoner)
     assert "configured speed limit" in text
     assert "could not" not in text
     assert "failed" not in text

@@ -2,27 +2,26 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from collections import Counter
 
 import pytest
 
-from hexar.baselines import build_end_to_end_prompt
+from hexar.baselines import build_end_to_end_prompt, explain_all_components, explain_end_to_end
 from hexar.framework import (
+    ANSWER_ERRORS,
     ComponentExplainer,
     ExplainerRegistry,
     ReasonerMeter,
     SelectionError,
     SelectorStage,
     aggregate,
-    build_context,
     explain_hexar,
     select,
 )
 from hexar.reasoner import ReasonerResponse, TextReasoner
 from hexar.scenarios import N_SCENARIOS, N_TASK_VARIANTS, get_scenario, grid_triples
 from hexar.simulate import generate_trace
-from hexar.trace import Event, Query, TaskPlan, Trace, TraceError
+from hexar.trace import ContextVector, Event, Query, TaskPlan, Trace, TraceError
 
 
 class StubReasoner(TextReasoner):
@@ -62,19 +61,12 @@ def test_union_of_default_views_covers_every_event(registry, trace_cache):
         assert deduped == Counter(_event_key(e) for e in trace.events)
 
 
-def test_view_window_filters_by_timestamp(trace_cache):
-    trace = trace_cache(7)
-    all_nav = trace.by_source({"navigation", "system"})
-    clipped = trace.by_source({"navigation", "system"}, window=(0.0, all_nav[0].ts))
-    assert clipped == (all_nav[0],)
-
-
 # -- context ---------------------------------------------------------------------
 
 
 def test_build_context_execution_failure(trace_cache):
     trace = trace_cache(7)
-    context = build_context(_query(trace), trace)
+    context = trace.context
     assert context.plan is trace.plan
     assert context.plan.valid is True
     statuses = dict(context.skills)
@@ -82,39 +74,33 @@ def test_build_context_execution_failure(trace_cache):
 
 
 def test_build_context_invalid_plan(trace_cache):
-    trace = trace_cache(2)
-    context = build_context(_query(trace), trace)
-    assert context.plan.valid is False
+    assert trace_cache(2).context.plan.valid is False
 
 
 def test_build_context_all_succeeded(trace_cache):
-    trace = trace_cache(3)
-    context = build_context(_query(trace), trace)
+    context = trace_cache(3).context
     assert all(status == "succeeded" for _, status in context.skills)
     assert [skill for skill, _ in context.skills] == ["navigation", "text_to_speech"]
 
 
-def test_build_context_window_clips_to_query_time(trace_cache):
-    trace = trace_cache(3)
-    query = Query(text="Why?", asked_at=trace.events[3].ts)
-    context = build_context(query, trace)
-    assert context.window == (trace.events[0].ts, trace.events[3].ts)
+def test_build_context_requires_plan(registry, rule_reasoner):
+    """A trace without a plan event fails each method whole, before any reasoner call."""
+    from hexar.evaluation import METHODS, answer
 
-
-def test_build_context_requires_plan():
     trace = Trace(
         scenario_id=1,
         task_variant=1,
         seed=0,
         events=(Event(ts=0.0, source="system", kind="log", payload={"text": "x"}),),
     )
-    with pytest.raises(TraceError):
-        build_context(Query("Why?", 1.0), trace)
+    for method in METHODS:
+        meter = ReasonerMeter(rule_reasoner)
+        with pytest.raises(TraceError, match="trace has no plan event"):
+            answer(method, "Why?", trace, registry, meter)
+        assert meter.calls == 0, method
 
 
 def test_plan_is_parsed_once_per_trace(monkeypatch, registry, rule_reasoner):
-    from hexar.baselines import explain_all_components
-
     calls = []
     parse = TaskPlan.from_payload
 
@@ -125,8 +111,8 @@ def test_plan_is_parsed_once_per_trace(monkeypatch, registry, rule_reasoner):
     monkeypatch.setattr(TaskPlan, "from_payload", counting)
     trace = generate_trace(7, 1, 0)  # not the session cache: its plans may be parsed already
     query = _query(trace)
-    first = build_context(query, trace)
-    assert build_context(query, trace) == first
+    first = trace.context
+    assert trace.context is first
     build_end_to_end_prompt(query, trace, registry)
     # the planner explainer reads the plan from its context
     explain_all_components(query, trace, registry, rule_reasoner)
@@ -151,17 +137,21 @@ def _reference_earliest_failed_skill(trace):
     return None
 
 
-def _reference_view(trace, sources, window=None):
-    start, end = window or (-math.inf, math.inf)
-    return tuple(e for e in trace.events if e.source in sources and start <= e.ts <= end)
+def _reference_view(trace, sources):
+    return tuple(e for e in trace.events if e.source in sources)
+
+
+def _reference_context(trace):
+    latest = _reference_latest_statuses(trace)
+    skills = tuple((step.skill, latest.get(step.skill, "waiting")) for step in trace.plan.steps)
+    return ContextVector(plan=trace.plan, skills=skills)
 
 
 def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reasoner):
     """Warm answers on one trace equal cold ones on a fresh copy, seeds 0-4.
 
-    Each query is asked at the end and mid-trace, so the context windows
-    differ, and the end-to-end prompt is built for two registries with
-    different source unions.
+    Each query is asked at the end and mid-trace, and the end-to-end
+    prompt is built for two registries with different source unions.
     """
     partial = ExplainerRegistry()
     for explainer_id in ("planner", "text_to_speech"):
@@ -175,6 +165,10 @@ def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reas
                 cold = lambda: dataclasses.replace(trace)
                 assert dict(trace.latest_statuses) == _reference_latest_statuses(trace)
                 assert trace.earliest_failed_skill == _reference_earliest_failed_skill(trace)
+                assert trace.context == cold().context == _reference_context(trace)
+                for sources in source_sets:
+                    view = trace.by_source(sources)
+                    assert view == cold().by_source(sources) == _reference_view(trace, sources)
                 end = trace.events[-1].ts
                 for text, asked_at in itertools.product(
                     get_scenario(scenario_id).queries, (end, end / 2)
@@ -184,13 +178,6 @@ def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reas
                         assert build_end_to_end_prompt(query, trace, reg) == (
                             build_end_to_end_prompt(query, cold(), reg)
                         )
-                    context = build_context(query, trace)
-                    assert context == build_context(query, cold())
-                    for sources in source_sets:
-                        for window in (None, context.window):
-                            view = trace.by_source(sources, window)
-                            assert view == cold().by_source(sources, window)
-                            assert view == _reference_view(trace, sources, window)
                     assert select(query, trace, registry, rule_reasoner) == (
                         select(query, cold(), registry, rule_reasoner)
                     )
@@ -233,12 +220,11 @@ class _CountingEvents(tuple):
 def test_repeated_view_key_scans_once(trace_cache):
     trace = trace_cache(7)
     counted = Trace(trace.scenario_id, trace.task_variant, trace.seed, _CountingEvents(trace.events))
-    window = (0.0, trace.events[-1].ts / 2)
-    for sources, view_window in (({"navigation"}, None), ({"navigation", "system"}, window)):
+    for sources in ({"navigation"}, {"navigation", "system"}):
         before = _CountingEvents.scans
-        first = counted.by_source(sources, view_window)
-        assert counted.by_source(frozenset(sources), view_window) is first
-        assert first == trace.by_source(sources, view_window)
+        first = counted.by_source(sources)
+        assert counted.by_source(frozenset(sources)) is first
+        assert first == trace.by_source(sources)
         assert _CountingEvents.scans == before + 1
 
 
@@ -418,3 +404,32 @@ def test_explain_hexar_call_budget(registry, rule_reasoner, specs_by_id, trace_c
         )
         explanation = explain_hexar(query, trace, registry, rule_reasoner)
         assert explanation.reasoner_calls <= 2
+
+
+def test_question_time_does_not_change_an_answer(
+    registry, rule_reasoner, specs_by_id, trace_cache
+):
+    """Each method answers over the whole trace, whenever the question was asked."""
+    methods = {
+        "hexar": lambda q, t: explain_hexar(q, t, registry, rule_reasoner),
+        "end_to_end": lambda q, t: explain_end_to_end(q, t, rule_reasoner, registry),
+        "all_components": lambda q, t: explain_all_components(q, t, registry, rule_reasoner),
+    }
+
+    def outcome(method, query, trace):
+        try:
+            explanation = methods[method](query, trace)
+        except ANSWER_ERRORS as exc:
+            return type(exc), str(exc)
+        return explanation.text, explanation.produced_by, explanation.reasoner_calls
+
+    changed = []
+    for scenario_id, variant, query_index in grid_triples():
+        trace = trace_cache(scenario_id, variant)
+        text = specs_by_id[scenario_id].queries[query_index - 1]
+        end = trace.events[-1].ts
+        for method in methods:
+            at_end = outcome(method, Query(text, end), trace)
+            if outcome(method, Query(text, end / 2), trace) != at_end:
+                changed.append((scenario_id, variant, query_index, method))
+    assert changed == []

@@ -411,7 +411,6 @@ def _pizza_context() -> ContextVector:
     return ContextVector(
         plan=TaskPlan("Recommend a pizza", (), True, ()),
         skills=(("pizza_recommender", "succeeded"),),
-        window=(0.0, 10.0),
     )
 
 
