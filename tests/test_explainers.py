@@ -3,12 +3,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexar.explainers import ROBOT_MODULES, build_default_registry
+from hexar.explainers.help_causal import explain_help
 from hexar.explainers.navigation import (
     MAX_LOG_LINES,
     build_navigation_prompt,
     explain_navigation,
     filter_logs,
 )
+from hexar.explainers.pizza import explain_pizza
 from hexar.explainers.planner import build_planner_prompt, explain_planner
 from hexar.explainers.tts import NO_PROBLEM_TEMPLATE, explain_tts
 from hexar.framework import explain_hexar
@@ -197,3 +200,50 @@ def test_navigation_prompt_contains_catalogue_params_and_query(trace_cache):
     assert "## Known situations" in prompt
     assert "charger_connected = True" in prompt
     assert query.text in prompt
+
+
+# -- default registry --------------------------------------------------------
+
+
+def test_default_registry_wires_one_explainer_per_module_in_order():
+    """Pins the id, module, sources, capability and technique of each default
+    explainer, in registration order: the classifier prompt lists them so."""
+    expected = [
+        (
+            "planner",
+            {"planner"},
+            "task plans, step ordering, grounding of instructions to skills",
+            explain_planner,
+        ),
+        (
+            "navigation",
+            {"navigation", "system"},
+            "driving between rooms, routes, obstacles, speed, localisation",
+            explain_navigation,
+        ),
+        ("text_to_speech", {"text_to_speech"}, "speaking, utterances, voice output", explain_tts),
+        (
+            "ask_human_for_help",
+            {"ask_human_for_help"},
+            "finding and approaching people, asking them for assistance",
+            explain_help,
+        ),
+        (
+            "pizza_recommender",
+            {"pizza_recommender"},
+            "pizza recipe recommendations from available ingredients",
+            explain_pizza,
+        ),
+    ]
+    registry = build_default_registry()
+    assert ROBOT_MODULES == tuple(row[0] for row in expected)
+    assert registry.entries == {module: [module] for module in ROBOT_MODULES}
+    assert list(registry.entries) == list(ROBOT_MODULES)
+    assert registry.ids() == list(ROBOT_MODULES)
+    for explainer, (module, sources, capability, explain_fn) in zip(
+        registry.explainers.values(), expected
+    ):
+        assert explainer.id == module
+        assert explainer.subscribed_sources == frozenset(sources)
+        assert explainer.capability == capability
+        assert explainer.explain_fn is explain_fn
