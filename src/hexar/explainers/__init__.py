@@ -9,62 +9,34 @@ from .pizza import explain_pizza
 from .planner import explain_planner
 from .tts import explain_tts
 
-ROBOT_MODULES = (
-    "planner",
-    "navigation",
-    "text_to_speech",
-    "ask_human_for_help",
-    "pizza_recommender",
+# One row per robot module: (module, extra sources, explain_fn, capability).
+# The module is also the explainer's id and its own event source.
+_DEFAULT_EXPLAINERS = (
+    ("planner", (), explain_planner,
+     "task plans, step ordering, grounding of instructions to skills"),
+    ("navigation", ("system",), explain_navigation,
+     "driving between rooms, routes, obstacles, speed, localisation"),
+    ("text_to_speech", (), explain_tts, "speaking, utterances, voice output"),
+    ("ask_human_for_help", (), explain_help,
+     "finding and approaching people, asking them for assistance"),
+    ("pizza_recommender", (), explain_pizza,
+     "pizza recipe recommendations from available ingredients"),
 )
+
+ROBOT_MODULES = tuple(row[0] for row in _DEFAULT_EXPLAINERS)
 
 
 def build_default_registry() -> ExplainerRegistry:
     """One explainer per robot module, each with its own technique."""
     registry = ExplainerRegistry()
-    registry.register(
-        ComponentExplainer(
-            id="planner",
-            subscribed_sources=frozenset({"planner"}),
-            explain_fn=explain_planner,
-            capability="task plans, step ordering, grounding of instructions to skills",
-        ),
-        modules=["planner"],
-    )
-    registry.register(
-        ComponentExplainer(
-            id="navigation",
-            subscribed_sources=frozenset({"navigation", "system"}),
-            explain_fn=explain_navigation,
-            capability="driving between rooms, routes, obstacles, speed, localisation",
-        ),
-        modules=["navigation"],
-    )
-    registry.register(
-        ComponentExplainer(
-            id="text_to_speech",
-            subscribed_sources=frozenset({"text_to_speech"}),
-            explain_fn=explain_tts,
-            capability="speaking, utterances, voice output",
-        ),
-        modules=["text_to_speech"],
-    )
-    registry.register(
-        ComponentExplainer(
-            id="ask_human_for_help",
-            subscribed_sources=frozenset({"ask_human_for_help"}),
-            explain_fn=explain_help,
-            capability="finding and approaching people, asking them for assistance",
-        ),
-        modules=["ask_human_for_help"],
-    )
-    registry.register(
-        ComponentExplainer(
-            id="pizza_recommender",
-            subscribed_sources=frozenset({"pizza_recommender"}),
-            explain_fn=explain_pizza,
-            capability="pizza recipe recommendations from available ingredients",
-        ),
-        modules=["pizza_recommender"],
-    )
-    registry.validate_coverage(list(ROBOT_MODULES))
+    for module, extra_sources, explain_fn, capability in _DEFAULT_EXPLAINERS:
+        registry.register(
+            ComponentExplainer(
+                id=module,
+                subscribed_sources=frozenset({module, *extra_sources}),
+                explain_fn=explain_fn,
+                capability=capability,
+            ),
+            modules=[module],
+        )
     return registry

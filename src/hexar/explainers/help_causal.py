@@ -166,9 +166,6 @@ def extract_variables(events: tuple[Event, ...]) -> HelpVariables:
         if int(e.payload.get("n_humans", 0)) >= 1 and "human.0.distance" in e.payload
     ]
     min_distance = min(distances) if distances else None
-    if n_humans == 0:
-        duration = 0.0
-        min_distance = None
 
     path_feasible = True
     for event in events:

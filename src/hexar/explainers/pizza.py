@@ -37,10 +37,6 @@ INGREDIENTS = (
 PIZZA_CLASSES = ("margherita", "pepperoni", "hawaiian", "vegetarian", "marinara")
 
 
-class PizzaExplainError(ExplainerError):
-    """Raised when the trace lacks the recommendation or ingredient events."""
-
-
 @dataclass(frozen=True)
 class TreeNode:
     """Internal split node; children keyed by the binary feature value."""
@@ -188,11 +184,15 @@ def default_tree() -> DecisionTree:
     return train_tree(load_recipe_dataset(), classes=PIZZA_CLASSES)
 
 
+# Ridge penalty of the local surrogate: small enough not to move the fit,
+# large enough to keep its normal equations positive definite for any draw.
+RIDGE = 1e-6
+
+
 @dataclass(frozen=True)
 class LimeConfig:
     n_samples: int = 1000
     seed: int = 0
-    regularization: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,29 +200,6 @@ class Attribution:
     weights: tuple[float, ...]
     intercept: float
     top_present_ingredient: str | None
-
-
-def _exact_rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free Gaussian elimination.
-
-    Each combined row is divided by the gcd of its entries, which keeps the
-    integers small.
-    """
-    rows = [row[:] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                combined = [a * top[col] - b * rows[r][col] for a, b in zip(rows[r], top)]
-                g = math.gcd(*combined) or 1
-                rows[r] = [v // g for v in combined]
-        rank += 1
-    return rank
 
 
 def _weighted_ridge(
@@ -239,16 +216,8 @@ def _weighted_ridge(
     by Gaussian elimination with partial pivoting.
     """
     d = len(rows[0])
-    degenerate = "degenerate perturbation design; use regularization > 0"
     n = d + 1
     columns = [*zip(*rows), (1,) * len(rows)]
-    # positive weights leave the unpenalized system singular exactly when
-    # [rows | 1] is; rounding can hide that from the pivots below, so the
-    # rank is taken exactly, on the integer Gram matrix
-    if lam == 0 and _exact_rank(
-        [[sum(map(operator.mul, ci, cj)) for cj in columns] for ci in columns]
-    ) < n:
-        raise ValueError(degenerate)
     weighted = [list(map(operator.mul, weights, column)) for column in columns]
     # augmented system [normal | rhs]; the normal matrix is symmetric
     system = [[0.0] * n + [math.fsum(map(operator.mul, wi, targets))] for wi in weighted]
@@ -260,7 +229,7 @@ def _weighted_ridge(
     for k in range(n):
         pivot = max(range(k, n), key=lambda r: abs(system[r][k]))
         if system[pivot][k] == 0.0:
-            raise ValueError(degenerate)
+            raise ValueError("degenerate design: the normal equations are singular")
         system[k], system[pivot] = system[pivot], system[k]
         for r in range(k + 1, n):
             factor = system[r][k] / system[k][k]
@@ -319,7 +288,7 @@ def _lime_attribute(
     sigma = 0.75 * math.sqrt(d)
     kernel = [math.exp(-((h / math.sqrt(d)) ** 2) / sigma**2) for h in range(d + 1)]
     weights = [counts[z] * kernel[sum(map(operator.ne, z, x))] for z in rows]
-    coef, intercept = _weighted_ridge(rows, targets, weights, cfg.regularization)
+    coef, intercept = _weighted_ridge(rows, targets, weights, RIDGE)
     return Attribution(
         weights=tuple(coef),
         intercept=intercept,
@@ -332,8 +301,9 @@ def exhaustive_attribution(
 ) -> Attribution:
     """Unweighted least-squares surrogate over every binary input.
 
-    Enumerates all 2^d inputs with uniform weights and no regularization;
-    serves as the sampling-free reference for the local surrogate.
+    Enumerates all 2^d inputs with uniform weights and no penalty (the full
+    cube has rank d + 1); serves as the sampling-free reference for the
+    local surrogate.
     """
     if target_class not in tree.classes:
         raise ValueError(f"unknown class {target_class!r}")
@@ -376,12 +346,12 @@ def explain_pizza(
     x = ingredients_from_events(events)
     recommended = recommendation_from_events(events)
     if x is None:
-        raise PizzaExplainError("no ingredient availability event in view")
+        raise ExplainerError("no ingredient availability event in view")
     if recommended is None:
-        raise PizzaExplainError("no recommendation dialogue event in view")
+        raise ExplainerError("no recommendation dialogue event in view")
     tree = default_tree()
     if recommended not in tree.classes:
-        raise PizzaExplainError(f"recommendation {recommended!r} is not a known pizza class")
+        raise ExplainerError(f"recommendation {recommended!r} is not a known pizza class")
     attribution = lime_attribute(tree, x, recommended)
     if attribution.top_present_ingredient is None:
         return (

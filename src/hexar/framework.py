@@ -113,11 +113,6 @@ class ExplainerRegistry:
             raise SelectionError(f"no explainer registered for module {module!r}")
         return ids[0]
 
-    def validate_coverage(self, modules: list[str]) -> None:
-        missing = [m for m in modules if not self.entries.get(m)]
-        if missing:
-            raise SelectionError(f"modules without explainer coverage: {missing}")
-
     def ids(self) -> list[str]:
         return list(self.explainers)
 

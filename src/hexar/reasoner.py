@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import re
-import time
 import urllib.parse
 from dataclasses import dataclass
 from importlib import resources
@@ -48,6 +47,8 @@ class ReasonerRequest:
 
 @dataclass(frozen=True)
 class ReasonerResponse:
+    """A completion and its modelled seconds; measured time is the caller's clock."""
+
     text: str
     latency: float = 0.0
 
@@ -281,17 +282,18 @@ class RemoteReasoner(TextReasoner):
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        start = time.perf_counter()
         try:
             # urlopen raises HTTPError (an OSError) on a 4xx/5xx status
             with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
                 payload = json.loads(response.read())
             text = payload["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not str")
         except (OSError, http.client.HTTPException) as exc:
             raise RemoteReasonerError(f"chat-completion request failed: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise RemoteReasonerError(f"malformed chat-completion response: {exc}") from exc
-        return ReasonerResponse(text=str(text), latency=time.perf_counter() - start)
+        return ReasonerResponse(text=text)
 
 
 # Modelled cost of one completion: answer generation, plus prompt ingestion.

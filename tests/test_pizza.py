@@ -10,7 +10,6 @@ from hexar.explainers.pizza import (
     PIZZA_CLASSES,
     DecisionTree,
     LimeConfig,
-    PizzaExplainError,
     TreeLeaf,
     TreeNode,
     default_tree,
@@ -24,7 +23,7 @@ from hexar.explainers.pizza import (
     train_tree,
 )
 from hexar.explainers import pizza
-from hexar.framework import explain_hexar
+from hexar.framework import ExplainerError, explain_hexar
 from hexar.trace import ContextVector, Query, TaskPlan
 
 D = len(INGREDIENTS)
@@ -226,83 +225,34 @@ def test_ranking_invariant_under_positive_scaling_of_target():
     assert half.top_present_ingredient == full.top_present_ingredient
 
 
-def test_degenerate_design_without_regularization_raises():
-    """Fewer distinct perturbations than the D + 1 unknowns leave the
-    unregularised fit singular, whatever rounding does to the pivots."""
-    tree = default_tree()
-    configs = [LimeConfig(n_samples=2, seed=0, regularization=0.0)] + [
-        LimeConfig(n_samples=n, seed=seed, regularization=0.0)
-        for n in (5, 8)
-        for seed in range(200)
-    ]
-    for cfg in configs:
-        with pytest.raises(ValueError, match="degenerate perturbation design"):
-            lime_attribute(tree, tuple([0] * D), "margherita", cfg)
-
-
-def _rank_mod_prime(matrix, p=2**31 - 1):
-    """Rank over GF(p). For a 0/1 matrix with at most 11 columns it is the
-    rank over the rationals: by Hadamard's bound every minor is below 1459 in
-    absolute value, so p divides none that is non-zero."""
-    rows = [[v % p for v in row] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inverse = pow(top[col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] * inverse % p
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], top)]
-        rank += 1
-    return rank
-
-
-def test_unregularized_fit_raises_exactly_when_the_design_is_rank_deficient():
-    """Rounding can leave a tiny non-zero pivot where [rows | 1] is singular;
-    the exact rank decides. The sweep holds both outcomes, also with at
-    least D + 1 distinct perturbations."""
-    tree = default_tree()
-    x = tuple([0] * D)
-    deficient = 0
-    for n in (12, 14, 16, 20):
-        for seed in range(200):
-            rng = random.Random(seed)
-            samples = [x] + [tuple(rng.randint(0, 1) for _ in range(D)) for _ in range(n - 1)]
-            singular = _rank_mod_prime([[*z, 1] for z in samples]) < D + 1
-            deficient += singular
-            cfg = LimeConfig(n_samples=n, seed=seed, regularization=0.0)
-            if singular:
-                with pytest.raises(ValueError, match="degenerate perturbation design"):
-                    lime_attribute(tree, x, "margherita", cfg)
-            else:
-                assert len(lime_attribute(tree, x, "margherita", cfg).weights) == D
-    assert deficient == 19
+def oracle_ridge(design, target, weights, lam):
+    """Weighted ridge via SVD-based lstsq on sqrt(w)-scaled rows plus
+    sqrt(lambda) penalty rows; the appended intercept column is unpenalised."""
+    d = design.shape[1]
+    design = np.hstack([design, np.ones((len(design), 1))])
+    root_w = np.sqrt(weights)
+    penalty = np.hstack([np.sqrt(lam) * np.eye(d), np.zeros((d, 1))])
+    solution, *_ = np.linalg.lstsq(
+        np.vstack([design * root_w[:, None], penalty]),
+        np.concatenate([target * root_w, np.zeros(d)]),
+        rcond=None,
+    )
+    return solution[:d], solution[d]
 
 
 def oracle_weighted_ridge(tree, x, target_class, cfg):
-    """The sampled fit via SVD-based lstsq on sqrt(w)-scaled rows plus
-    sqrt(lambda) penalty rows, on the package's seeded draws."""
+    """The sampled fit by ``oracle_ridge`` on the package's seeded draws."""
     rng = random.Random(cfg.seed)
     samples = [x] + [
         tuple(rng.randint(0, 1) for _ in range(D)) for _ in range(cfg.n_samples - 1)
     ]
     idx = tree.classes.index(target_class)
-    design = np.hstack([np.array(samples, float), np.ones((len(samples), 1))])
+    design = np.array(samples, float)
     target = np.array([predict_proba(tree, z)[idx] for z in samples])
-    hamming = np.abs(design[:, :D] - np.array(x, float)).sum(axis=1)
+    hamming = np.abs(design - np.array(x, float)).sum(axis=1)
     sigma = 0.75 * np.sqrt(D)
-    root_w = np.sqrt(np.exp(-((hamming / np.sqrt(D)) ** 2) / sigma**2))
-    penalty = np.hstack([np.sqrt(cfg.regularization) * np.eye(D), np.zeros((D, 1))])
-    solution, *_ = np.linalg.lstsq(
-        np.vstack([design * root_w[:, None], penalty]),
-        np.concatenate([target * root_w, np.zeros(D)]),
-        rcond=None,
-    )
-    return solution[:D], solution[D]
+    weights = np.exp(-((hamming / np.sqrt(D)) ** 2) / sigma**2)
+    return oracle_ridge(design, target, weights, pizza.RIDGE)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +261,7 @@ def oracle_weighted_ridge(tree, x, target_class, cfg):
         ((1, 1, 1, 0, 0, 0, 0, 0, 0, 0), "margherita", LimeConfig()),
         ((0, 1, 0, 0, 0, 0, 1, 1, 0, 0), "hawaiian", LimeConfig(seed=7)),
         ((1, 0, 1, 1, 0, 1, 0, 0, 1, 1), "pepperoni", LimeConfig(n_samples=300, seed=2)),
-        ((0, 0, 0, 0, 1, 1, 0, 0, 1, 0), "vegetarian", LimeConfig(regularization=0.5)),
+        ((0, 0, 0, 0, 1, 1, 0, 0, 1, 0), "vegetarian", LimeConfig(seed=5)),
         ((1, 1, 0, 0, 0, 0, 0, 0, 1, 1), "marinara", LimeConfig(n_samples=40, seed=11)),
     ],
 )
@@ -321,6 +271,29 @@ def test_sampled_attribution_matches_weighted_lstsq_oracle(x, target_class, cfg)
     weights, intercept = oracle_weighted_ridge(tree, x, target_class, cfg)
     assert np.allclose(attribution.weights, weights, rtol=0, atol=1e-12)
     assert attribution.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
+
+
+def test_weighted_ridge_with_a_visible_penalty_matches_the_oracle():
+    """A penalty large enough to move the fit, on distinct weighted rows."""
+    tree = default_tree()
+    idx = tree.classes.index("vegetarian")
+    rng = random.Random(3)
+    rows = sorted({tuple(rng.randint(0, 1) for _ in range(D)) for _ in range(60)})
+    targets = [predict_proba(tree, z)[idx] for z in rows]
+    weights = [rng.uniform(0.1, 2.0) for _ in rows]
+    coef, intercept = pizza._weighted_ridge(rows, targets, weights, 0.5)
+    expected, expected_intercept = oracle_ridge(
+        np.array(rows, float), np.array(targets), np.array(weights), 0.5
+    )
+    assert np.allclose(coef, expected, rtol=0, atol=1e-12)
+    assert intercept == pytest.approx(expected_intercept, rel=0, abs=1e-12)
+    unpenalised, _ = pizza._weighted_ridge(rows, targets, weights, 0.0)
+    assert not np.allclose(coef, unpenalised, rtol=0, atol=1e-3)
+
+
+def test_weighted_ridge_rejects_a_singular_unpenalised_system():
+    with pytest.raises(ValueError, match="degenerate design"):
+        pizza._weighted_ridge([(0, 1)], [1.0], [1.0], 0.0)
 
 
 def test_lime_attribute_validates_inputs():
@@ -439,7 +412,7 @@ def test_explain_pizza_names_recommendation_and_top_ingredient(
 def test_explain_pizza_requires_events(trace_cache):
     trace = trace_cache(7)
     query = Query(text="Why?", asked_at=1.0)
-    with pytest.raises(PizzaExplainError):
+    with pytest.raises(ExplainerError):
         explain_pizza(query, _pizza_context(), trace.by_source({"pizza_recommender"}))
 
 

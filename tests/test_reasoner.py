@@ -5,12 +5,15 @@ import re
 import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexar.cli import main
+from hexar.evaluation import answer
 from hexar.reasoner import (
     LatencyModelReasoner,
     NoMatchError,
@@ -193,16 +196,19 @@ def test_make_reasoner_factory():
 class _ChatHandler(BaseHTTPRequestHandler):
     seen: list[dict] = []
     status = 200
+    content: object = "remote says hi"
+    delay = 0.0  # seconds the endpoint takes to answer
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).seen.append(body)
+        time.sleep(type(self).delay)
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
         payload = {
-            "choices": [{"message": {"role": "assistant", "content": "remote says hi"}}],
+            "choices": [{"message": {"role": "assistant", "content": type(self).content}}],
             "usage": {"total_tokens": 11},
         }
         self.wfile.write(json.dumps(payload).encode())
@@ -215,6 +221,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server():
     _ChatHandler.seen = []
     _ChatHandler.status = 200
+    _ChatHandler.content = "remote says hi"
+    _ChatHandler.delay = 0.0
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -228,7 +236,7 @@ def test_remote_reasoner_round_trip(chat_server):
         ReasonerRequest(system_prompt="sys", user_prompt="user", max_tokens=64)
     )
     assert response.text == "remote says hi"
-    assert response.latency >= 0.0
+    assert response.latency == 0.0  # modelled time only; the caller measures the call
     body = _ChatHandler.seen[0]
     assert body["model"] == "tiny-model"
     assert body["temperature"] == 0.0  # greedy decoding
@@ -252,6 +260,39 @@ def test_remote_reasoner_surfaces_http_errors(chat_server):
     reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
     with pytest.raises(RemoteReasonerError):
         reasoner.complete_text("sys", "user")
+
+
+@pytest.mark.parametrize("content", [None, ["remote says hi"]])
+def test_remote_reasoner_rejects_non_string_content(chat_server, content):
+    _ChatHandler.content = content
+    reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
+    with pytest.raises(RemoteReasonerError, match="malformed chat-completion response"):
+        reasoner.complete_text("sys", "user")
+
+
+def test_explain_with_null_remote_content_exits_3(chat_server, tmp_path, capsys, monkeypatch):
+    _ChatHandler.content = None
+    monkeypatch.setenv("HEXAR_REASONER_URL", chat_server)
+    trace = tmp_path / "trace.jsonl"
+    main(["simulate", "--scenario", "7", "--task", "1", "--seed", "0", "--out", str(trace)])
+    capsys.readouterr()
+    code = main(["explain", "--trace", str(trace), "--query", "Why?", "--reasoner", "remote"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "None" not in out
+    assert "RemoteReasonerError: malformed chat-completion response" in err
+
+
+def test_remote_answer_bills_its_call_time_once(chat_server, trace_cache, registry):
+    _ChatHandler.delay = 0.2
+    reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
+    trace = trace_cache(7)
+    start = time.perf_counter()
+    explanation = answer("end_to_end", "Why?", trace, registry, reasoner)
+    span = time.perf_counter() - start
+    assert (explanation.text, explanation.reasoner_calls) == ("remote says hi", 1)
+    assert span >= _ChatHandler.delay
+    assert explanation.wall_time <= span
 
 
 def test_remote_reasoner_requires_configuration(monkeypatch):
