@@ -93,12 +93,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
     method = _METHOD_FLAGS[args.method]
 
     if args.interactive:
+        # every query is answered; one failed explanation fails the session
         status = EXIT_OK
         for line in sys.stdin:
             text = line.strip()
-            if not text:
-                continue
-            status = _explain_once(trace, text, method, registry, reasoner)
+            if text and _explain_once(trace, text, method, registry, reasoner) != EXIT_OK:
+                status = EXIT_EXPLAIN
         return status
     if not args.query:
         return _fail("--query is required unless --interactive is set")

@@ -16,7 +16,7 @@ from typing import Callable
 from ..framework import ExplainerError
 from ..reasoner import ReasonerError, TextReasoner
 from ..stats import sample_variance
-from ..trace import ContextVector, Event, Query
+from ..trace import ContextVector, Event, EventView, Query
 
 # Detections closer together than this belong to one contiguous run.
 DETECTION_GAP = 0.5
@@ -276,15 +276,15 @@ def _approach_replans(events: tuple[Event, ...]) -> int:
     )
 
 
-def explain_help(
-    query: Query,
-    context: ContextVector,
-    events: tuple[Event, ...],
-    reasoner: TextReasoner,
-) -> str:
-    """Counterfactual explanation on failure, templated answer otherwise."""
+def _help_evidence(events: EventView) -> tuple[str, str | None]:
+    """The answer's query-independent part, as ``(text, prompt)``.
+
+    On a failed outcome ``text`` is the counterfactual sentence and
+    ``prompt`` asks the reasoner to naturalise it; otherwise ``text`` is the
+    templated answer and ``prompt`` is None.
+    """
     if not any(e.source == "ask_human_for_help" for e in events):
-        return "The ask-human-for-help skill was not used in this task."
+        return "The ask-human-for-help skill was not used in this task.", None
 
     try:
         v = extract_variables(events)
@@ -292,30 +292,46 @@ def explain_help(
         raise ExplainerError(str(exc)) from exc
     if evaluate_model(v) is not HelpOutcome.SUCCESS:
         sentence = render_counterfactual(counterfactual(v))
-        prompt = _naturalise_prompt(sentence, v)
-        try:
-            return reasoner.complete_text(
-                system_prompt="You turn structured robot findings into plain language.",
-                user_prompt=prompt,
-            ).text
-        except ReasonerError:
-            # the raw counterfactual sentence still answers the question
-            return f"{sentence} [counterfactual template; naturalisation unavailable]"
+        return sentence, _naturalise_prompt(sentence, v)
 
     if v.detection_variance > VAR_MAX:
         return (
             "I completed the task, but I may have approached the person poorly "
             "due to high variance in the person's detection "
             f"({v.detection_variance:.2f} m² against a tolerance of {VAR_MAX:.2f} m²)."
-        )
+        ), None
     replans = _approach_replans(events)
     if replans > 0:
         times = "once" if replans == 1 else f"{replans} times"
         return (
             "I completed the task, but I may have approached the person poorly: "
             f"my approach path was replanned around obstacles {times} during the approach."
-        )
+        ), None
     return (
         "I asked a person for help and they assisted me; "
         "the ask-human-for-help skill completed normally."
-    )
+    ), None
+
+
+def explain_help(
+    query: Query,
+    context: ContextVector,
+    events: EventView,
+    reasoner: TextReasoner,
+) -> str:
+    """Counterfactual explanation on failure, templated answer otherwise.
+
+    The counterfactual and its prompt are built once per event view; each
+    call on a failed outcome still asks the reasoner to naturalise it.
+    """
+    text, prompt = events.derived(_help_evidence)
+    if prompt is None:
+        return text
+    try:
+        return reasoner.complete_text(
+            system_prompt="You turn structured robot findings into plain language.",
+            user_prompt=prompt,
+        ).text
+    except ReasonerError:
+        # the raw counterfactual sentence still answers the question
+        return f"{text} [counterfactual template; naturalisation unavailable]"

@@ -15,7 +15,7 @@ from importlib import resources
 
 from ..framework import ExplainerError
 from ..reasoner import TextReasoner, load_prompt_template
-from ..trace import ContextVector, Event, Query
+from ..trace import ContextVector, EventView, Query
 
 _RELEVANT_PARAMS = (
     "charger_connected",
@@ -86,7 +86,8 @@ def situation_catalogue() -> str:
     return "\n".join(lines)
 
 
-def build_navigation_prompt(query: Query, events: tuple[Event, ...]) -> str:
+def _navigation_evidence(events: EventView) -> dict[str, str]:
+    """Every field of the navigation prompt except the query."""
     log_lines: list[str] = []
     params: list[str] = []
     try:
@@ -98,19 +99,23 @@ def build_navigation_prompt(query: Query, events: tuple[Event, ...]) -> str:
                 params.append(f"- {e.payload['name']} = {e.payload['value']}")
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
-    filtered = filter_logs(log_lines)
-    return load_prompt_template("navigation").format(
-        logs="\n".join(filtered) or "(no navigation logs)",
+    return dict(
+        logs="\n".join(filter_logs(log_lines)) or "(no navigation logs)",
         params="\n".join(params) or "(none)",
         situation_catalogue=situation_catalogue(),
-        query=query.text,
     )
+
+
+def build_navigation_prompt(query: Query, events: EventView) -> str:
+    """The navigation prompt; its evidence is built once per event view."""
+    evidence = events.derived(_navigation_evidence)
+    return load_prompt_template("navigation").format(query=query.text, **evidence)
 
 
 def explain_navigation(
     query: Query,
     context: ContextVector,
-    events: tuple[Event, ...],
+    events: EventView,
     reasoner: TextReasoner,
 ) -> str:
     return reasoner.complete_text(

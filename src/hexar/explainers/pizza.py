@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Sequence
 
 from ..framework import ExplainerError
-from ..trace import ContextVector, Event, Query
+from ..trace import ContextVector, Event, EventView, Query
 
 INGREDIENTS = (
     "tomato",
@@ -249,6 +249,33 @@ def _top_present(x: tuple[int, ...], weights: Sequence[float]) -> str | None:
     return INGREDIENTS[best]
 
 
+# ``rng.randint(0, 1)`` takes the top two bits of one 32-bit Mersenne Twister
+# output and draws again while they read 2 or 3: a word whose top byte is
+# below 128 gives that byte's bit 6, a word whose top byte is 128 or more is
+# skipped. ``getrandbits(32 * k)`` holds k such outputs, the first in its
+# lowest bits, so their top bytes are every fourth byte of it little-endian.
+_COIN_BIT = bytes((b >> 6) & 1 for b in range(256))
+_REDRAWN = bytes(range(128, 256))
+# Words drawn per call: keeps each call's buffers to a few tens of kilobytes.
+_DRAW_WORDS = 4096
+
+
+def _perturbations(rng: random.Random, n: int, d: int) -> list[tuple[int, ...]]:
+    """``n`` rows of ``d`` draws each of ``rng.randint(0, 1)``, drawn in bulk.
+
+    The rows equal ``tuple(rng.randint(0, 1) for _ in range(d))`` drawn ``n``
+    times; ``rng`` is left further on than those calls would leave it.
+    """
+    need = n * d
+    bits = bytearray()
+    while len(bits) < need:
+        # about two words per bit, since half are redrawn
+        words = min(2 * (need - len(bits)) + 64, _DRAW_WORDS)
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top.translate(_COIN_BIT, _REDRAWN)
+    return [tuple(bits[i * d : (i + 1) * d]) for i in range(n)]
+
+
 def lime_attribute(
     tree: DecisionTree,
     x: Sequence[int],
@@ -277,10 +304,8 @@ def _lime_attribute(
         raise ValueError("need at least one perturbation sample")
     d = tree.n_features
     target_idx = tree.classes.index(target_class)
-    rng = random.Random(cfg.seed)
     counts = Counter([x])
-    for _ in range(cfg.n_samples - 1):
-        counts[tuple(rng.randint(0, 1) for _ in range(d))] += 1
+    counts.update(_perturbations(random.Random(cfg.seed), cfg.n_samples - 1, d))
     rows = list(counts)
 
     # the tree walk of sample 0 also rejects an x of the wrong length
@@ -333,16 +358,7 @@ def recommendation_from_events(events: tuple[Event, ...]) -> str | None:
     return None
 
 
-def explain_pizza(
-    query: Query,
-    context: ContextVector,
-    events: tuple[Event, ...],
-    reasoner=None,
-) -> str:
-    """Template the recommendation rationale from the surrogate ranking.
-
-    Purely templated: zero reasoner calls.
-    """
+def _pizza_answer(events: EventView) -> str:
     x = ingredients_from_events(events)
     recommended = recommendation_from_events(events)
     if x is None:
@@ -366,3 +382,17 @@ def explain_pizza(
         f"{attribution.top_present_ingredient} was available. "
         f"Influence of the available ingredients on this choice: {ranking}."
     )
+
+
+def explain_pizza(
+    query: Query,
+    context: ContextVector,
+    events: EventView,
+    reasoner=None,
+) -> str:
+    """Template the recommendation rationale from the surrogate ranking.
+
+    Purely templated: zero reasoner calls. The text depends on the events
+    alone, so it is built once per event view.
+    """
+    return events.derived(_pizza_answer)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..reasoner import TextReasoner, load_prompt_template
-from ..trace import ContextVector, Event, Query, TaskPlan
+from ..trace import ContextVector, EventView, Query, TaskPlan
 
 
 def format_items(items: dict) -> str:
@@ -37,7 +37,7 @@ def build_planner_prompt(query: Query, context: ContextVector) -> str:
 def explain_planner(
     query: Query,
     context: ContextVector,
-    events: tuple[Event, ...],
+    events: EventView,
     reasoner: TextReasoner,
 ) -> str:
     """Prompt the reasoner with instruction, plan, grounding errors and statuses."""

@@ -4,7 +4,7 @@ mode the skill has, a timeout on overly long utterances. Zero reasoner calls."""
 from __future__ import annotations
 
 from ..framework import ExplainerError
-from ..trace import ContextVector, Event, Query
+from ..trace import ContextVector, EventView, Query
 
 TIMEOUT_TEMPLATE = (
     "The speech was cut off because the text-to-speech skill timed out before "
@@ -16,12 +16,7 @@ NO_PROBLEM_TEMPLATE = (
 )
 
 
-def explain_tts(
-    query: Query,
-    context: ContextVector,
-    events: tuple[Event, ...],
-    reasoner=None,
-) -> str:
+def _tts_answer(events: EventView) -> str:
     timed_out = any(
         e.kind == "skill_status"
         and e.payload.get("skill") == "text_to_speech"
@@ -39,3 +34,13 @@ def explain_tts(
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ExplainerError(f"malformed utterance length: {e.payload['length']!r}") from exc
     return TIMEOUT_TEMPLATE.format(length=length)
+
+
+def explain_tts(
+    query: Query,
+    context: ContextVector,
+    events: EventView,
+    reasoner=None,
+) -> str:
+    """The finding depends on the events alone: found once per event view."""
+    return events.derived(_tts_answer)

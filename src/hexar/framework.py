@@ -22,7 +22,7 @@ from .reasoner import (
     TextReasoner,
     load_prompt_template,
 )
-from .trace import ContextVector, Event, Explanation, Query, Trace, TraceError
+from .trace import ContextVector, EventView, Explanation, Query, Trace, TraceError
 
 
 class SelectionError(RuntimeError):
@@ -70,11 +70,19 @@ class ReasonerMeter(TextReasoner):
 
 
 class ExplainFn(Protocol):
+    """A component explainer's technique, called positionally.
+
+    ``events`` is the trace's view of the explainer's subscribed sources. What
+    an explainer computes from those events alone it may keep with
+    ``events.derived``, so a re-asked trace builds it once; anything that
+    depends on the query or on a reasoner's reply is computed per call.
+    """
+
     def __call__(
         self,
         query: Query,
         context: ContextVector,
-        events: tuple[Event, ...],
+        events: EventView,
         reasoner: TextReasoner,
     ) -> str: ...
 

@@ -11,7 +11,7 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TypeVar, Union
@@ -94,13 +94,41 @@ def _first_disorder(stamps: list[float]) -> int | None:
     return next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
 
 
+class EventView(tuple):
+    """One trace's events from a set of sources, in trace order.
+
+    A tuple that also keeps values computed from these events alone, each
+    under the module-level function that computed it (see ``derived``). A
+    view is made and kept by ``Trace.by_source``, so it lives and dies with
+    its trace.
+    """
+
+    def __init__(self, events: Iterable[Event]) -> None:
+        self._memo: dict[Callable[[EventView], object], object] = {}
+
+    def derived(self, compute: Callable[[EventView], _T]) -> _T:
+        """``compute(self)``, run on the first call for ``compute`` and kept by this view.
+
+        ``compute`` must be a module-level function of the events alone, never
+        of a query or a reasoner's reply. Only a value it returns is kept: an
+        exception propagates, and the next call computes again. Two racing
+        first calls compute twice and one value is kept.
+        """
+        memo = self._memo
+        if compute in memo:
+            return memo[compute]
+        value = memo[compute] = compute(self)
+        return value
+
+
 @dataclass(frozen=True)
 class Trace:
     """An ordered event sequence for one scenario execution.
 
-    Views derived from the events alone (``by_source``, ``plan``,
-    ``latest_statuses``, ``context``, ``earliest_failed_skill`` and what
-    callers keep with ``derived``) are computed on first use and kept by
+    Views derived from the events alone (``by_source`` with what each
+    ``EventView`` keeps, ``plan``, ``latest_statuses``, ``context``,
+    ``earliest_failed_skill`` and what callers keep with ``derived``) are
+    computed on first use and kept by
     this instance, because one recording is asked many questions. Every
     method answers over the whole trace. They live and die with the
     instance: ``dataclasses.replace`` gives a copy with none kept, and
@@ -133,14 +161,14 @@ class Trace:
             memo[key] = compute()
         return memo[key]
 
-    def by_source(self, sources: frozenset[str] | set[str]) -> tuple[Event, ...]:
-        """Events from ``sources``, in trace order."""
+    def by_source(self, sources: frozenset[str] | set[str]) -> EventView:
+        """Events from ``sources``, in trace order, as one view kept per source set."""
         # the memo inlined, without a closure: every explainer dispatch calls this
         key = frozenset(sources)
         view = self._memo.get(key)
         if view is None:
             # a list comprehension: a generator costs a resumption per event
-            view = tuple([e for e in self.events if e.source in sources])
+            view = EventView([e for e in self.events if e.source in sources])
             self._memo[key] = view
         return view
 

@@ -25,7 +25,7 @@ from hexar.explainers.help_causal import (
 )
 from hexar.framework import explain_hexar
 from hexar.simulate import generate_trace, replay_fsm
-from hexar.trace import ContextVector, Event, Query, TaskPlan, Trace
+from hexar.trace import ContextVector, Event, EventView, Query, TaskPlan, Trace
 
 
 def help_events(trace):
@@ -307,7 +307,7 @@ def test_explain_help_clean_success_template(trace_cache, registry, rule_reasone
 
 
 def test_explain_help_without_events_reports_unused(rule_reasoner):
-    text = explain_help(Query("Why?", 1.0), _context(), (), rule_reasoner)
+    text = explain_help(Query("Why?", 1.0), _context(), EventView(()), rule_reasoner)
     assert "was not used" in text
 
 

@@ -334,6 +334,25 @@ def test_explain_interactive_reads_stdin(charger_trace, capsys, monkeypatch):
     assert "plugged into its charger" in out
 
 
+_SLOW = "Why did you drive so slowly along the route?"  # no navigation evidence: fails
+_PIZZA = "Why did you pick that pizza?"
+
+
+@pytest.mark.parametrize("queries", [(_SLOW, _PIZZA), (_PIZZA, _SLOW)])
+def test_explain_interactive_fails_when_any_query_fails(tmp_path, capsys, monkeypatch, queries):
+    path = tmp_path / "s20.jsonl"
+    main(["simulate", "--scenario", "20", "--task", "1", "--seed", "0", "--out", str(path)])
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{q}\n" for q in queries)))
+    code, out, err = run(["explain", "--trace", str(path), "--interactive"], capsys)
+    assert code == 3
+    # both queries are still answered, in order
+    assert out.count(FAILURE_REPLY) == 1
+    assert "produced_by: pizza_recommender" in out
+    assert (out.index(FAILURE_REPLY) < out.index("I recommended")) == (queries[0] == _SLOW)
+    assert "NoMatchError" in err
+
+
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: ``write`` or ``flush`` raises BrokenPipeError."""
 

@@ -15,7 +15,7 @@ from hexar.explainers.pizza import explain_pizza
 from hexar.explainers.planner import build_planner_prompt, explain_planner
 from hexar.explainers.tts import NO_PROBLEM_TEMPLATE, explain_tts
 from hexar.framework import explain_hexar
-from hexar.trace import Query
+from hexar.trace import EventView, Query
 
 
 def _events(trace, sources):
@@ -100,7 +100,7 @@ def test_tts_no_problem_on_success(trace_cache):
 def test_tts_no_problem_without_events(trace_cache, registry, rule_reasoner):
     trace = trace_cache(20)
     query = Query("Why did you stop talking?", trace.events[-1].ts)
-    text = explain_tts(query, trace.context, ())
+    text = explain_tts(query, trace.context, EventView(()))
     assert text == NO_PROBLEM_TEMPLATE
     # the classifier's call is the only one: the explainer itself makes none
     hexar = explain_hexar(query, trace, registry, rule_reasoner)

@@ -6,10 +6,13 @@ from collections import Counter
 
 import pytest
 
+from hexar import evaluation
 from hexar.baselines import build_end_to_end_prompt, explain_all_components, explain_end_to_end
+from hexar.explainers import help_causal, navigation, pizza, tts
 from hexar.framework import (
     ANSWER_ERRORS,
     ComponentExplainer,
+    ExplainerError,
     ExplainerRegistry,
     ReasonerMeter,
     SelectionError,
@@ -19,9 +22,15 @@ from hexar.framework import (
     select,
 )
 from hexar.reasoner import ReasonerResponse, TextReasoner
-from hexar.scenarios import N_SCENARIOS, N_TASK_VARIANTS, get_scenario, grid_triples
+from hexar.scenarios import (
+    N_SCENARIOS,
+    N_TASK_VARIANTS,
+    get_scenario,
+    grid_triples,
+    list_scenarios,
+)
 from hexar.simulate import generate_trace
-from hexar.trace import ContextVector, Event, Query, TaskPlan, Trace, TraceError
+from hexar.trace import ContextVector, Event, EventView, Query, TaskPlan, Trace, TraceError
 
 
 class StubReasoner(TextReasoner):
@@ -205,6 +214,94 @@ def test_end_to_end_evidence_is_built_once_per_trace(monkeypatch, registry, rule
     assert copy == trace and repr(copy) == repr(trace)
     baselines.explain_end_to_end(_query(copy), copy, rule_reasoner, registry)
     assert len(calls) == 2
+
+
+# Each component explainer's query-independent evidence, by explainer id.
+_EVIDENCE = {
+    "navigation": (navigation, "_navigation_evidence"),
+    "ask_human_for_help": (help_causal, "_help_evidence"),
+    "text_to_speech": (tts, "_tts_answer"),
+    "pizza_recommender": (pizza, "_pizza_answer"),
+}
+
+
+def _count_evidence_builds(monkeypatch) -> tuple[Counter, Counter]:
+    """Count, by explainer id, every evidence build and every one that returned."""
+    started, built = Counter(), Counter()
+    for explainer_id, (module, name) in _EVIDENCE.items():
+
+        def counting(events, build=getattr(module, name), explainer_id=explainer_id):
+            started[explainer_id] += 1
+            value = build(events)
+            built[explainer_id] += 1
+            return value
+
+        monkeypatch.setattr(module, name, counting)
+    return started, built
+
+
+@pytest.mark.parametrize("explainer_id", list(_EVIDENCE))
+def test_component_evidence_is_built_once_per_trace(
+    monkeypatch, registry, rule_reasoner, explainer_id
+):
+    _, built = _count_evidence_builds(monkeypatch)
+    spec = next(s for s in list_scenarios() if s.relevant_module == explainer_id)
+    trace = generate_trace(spec.scenario_id, 1, 0)
+
+    def answers(trace):
+        texts = []
+        for text, method in itertools.product(spec.queries, ("hexar", "all_components")):
+            try:
+                texts.append(evaluation.answer(method, text, trace, registry, rule_reasoner).text)
+            except ANSWER_ERRORS as exc:  # a hexar answer may fail; its evidence still counts
+                texts.append(repr(exc))
+        return texts
+
+    warm = answers(trace)
+    assert built[explainer_id] == 1
+    # every other explainer's evidence that could be built is kept too
+    assert set(built.values()) == {1}
+    # a copy keeps nothing of the original's views, and answers the same
+    assert answers(dataclasses.replace(trace)) == warm
+    assert built[explainer_id] == 2
+
+
+def test_evidence_that_raises_is_raised_again_and_never_kept(monkeypatch, registry, rule_reasoner):
+    started, built = _count_evidence_builds(monkeypatch)
+    trace = generate_trace(20, 1, 0)
+    events = tuple(
+        Event(e.ts, e.source, e.kind, {**e.payload, "recommended": "calzone"})
+        if "recommended" in e.payload
+        else e
+        for e in trace.events
+    )
+    trace = Trace(trace.scenario_id, trace.task_variant, trace.seed, events)
+    query = _query(trace, "Why did you pick that pizza?")
+    for attempt in (1, 2, 3):
+        with pytest.raises(ExplainerError, match="^recommendation 'calzone' is not a known pizza"):
+            explain_hexar(query, trace, registry, rule_reasoner)
+        assert (started["pizza_recommender"], built["pizza_recommender"]) == (attempt, 0)
+    view = trace.by_source(registry.explainers["pizza_recommender"].subscribed_sources)
+    assert view._memo == {}
+
+
+def test_event_view_keeps_a_value_only_once_computed():
+    view = EventView(())
+    calls = []
+
+    def fails_then_works(events):
+        calls.append(events)
+        if len(calls) < 3:
+            raise ValueError(f"attempt {len(calls)}")
+        return object()
+
+    for attempt in (1, 2):
+        with pytest.raises(ValueError, match=f"^attempt {attempt}$"):
+            view.derived(fails_then_works)
+    value = view.derived(fails_then_works)
+    assert view.derived(fails_then_works) is value
+    assert len(calls) == 3 and all(events is view for events in calls)
+    assert view == () and isinstance(view, tuple)
 
 
 class _CountingEvents(tuple):

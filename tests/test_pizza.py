@@ -24,7 +24,8 @@ from hexar.explainers.pizza import (
 )
 from hexar.explainers import pizza
 from hexar.framework import ExplainerError, explain_hexar
-from hexar.trace import ContextVector, Query, TaskPlan
+from hexar.simulate import generate_trace
+from hexar.trace import ContextVector, EventView, Query, TaskPlan
 
 D = len(INGREDIENTS)
 
@@ -240,6 +241,14 @@ def oracle_ridge(design, target, weights, lam):
     return solution[:d], solution[d]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("n", [0, 1, 7, 999, 5000])
+def test_bulk_perturbations_equal_sequential_randint_draws(seed, n):
+    rng = random.Random(seed)
+    expected = [tuple(rng.randint(0, 1) for _ in range(D)) for _ in range(n)]
+    assert pizza._perturbations(random.Random(seed), n, D) == expected
+
+
 def oracle_weighted_ridge(tree, x, target_class, cfg):
     """The sampled fit by ``oracle_ridge`` on the package's seeded draws."""
     rng = random.Random(cfg.seed)
@@ -359,7 +368,7 @@ def test_lime_attribute_memoizes_each_distinct_call():
     assert memo.cache_info().currsize == 5
 
 
-def test_default_tree_is_trained_once(monkeypatch, trace_cache):
+def test_default_tree_is_trained_once(monkeypatch):
     trainings = []
 
     def counting_train_tree(*args, **kwargs):
@@ -368,7 +377,8 @@ def test_default_tree_is_trained_once(monkeypatch, trace_cache):
 
     monkeypatch.setattr(pizza, "train_tree", counting_train_tree)
     default_tree.cache_clear()
-    trace = trace_cache(20)
+    # a fresh trace: a shared one may already keep its answer, trained before the count
+    trace = generate_trace(20, 1, 0)
     events = trace.by_source({"pizza_recommender"})
     query = Query(text="Why did you pick that pizza?", asked_at=trace.events[-1].ts)
     explain_pizza(query, _pizza_context(), events)
@@ -427,6 +437,6 @@ def test_explain_pizza_all_zero_ingredients_reports_default(trace_cache):
         else:
             events.append(event)
     query = Query(text="Why?", asked_at=trace.events[-1].ts)
-    text = explain_pizza(query, _pizza_context(), tuple(events))
+    text = explain_pizza(query, _pizza_context(), EventView(events))
     assert "default" in text
     assert ingredients_from_events(tuple(events)) == tuple([0] * D)
