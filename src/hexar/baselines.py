@@ -17,16 +17,14 @@ from .framework import (
     aggregate,
     run_explainer,
 )
-from .reasoner import TextReasoner, load_prompt_template
+from .reasoner import TextReasoner, split_prompt_template
 from .trace import Explanation, Query, Trace
 
-
-def _source_union(registry: ExplainerRegistry) -> frozenset[str]:
-    return frozenset().union(*(e.subscribed_sources for e in registry.explainers.values()))
+_HEAD, _TAIL = split_prompt_template("end_to_end")
 
 
-def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> dict[str, str]:
-    """Every field of the end-to-end prompt except the query."""
+def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> str:
+    """The end-to-end prompt up to its query: everything recorded from ``sources``."""
     events = trace.by_source(sources)
     plan = trace.plan
 
@@ -49,7 +47,7 @@ def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> dict[str, str
         elif kind in ("detection", "dialogue"):
             other.append(f"- {event.ts:.2f} {event.source} {kind}: {format_items(payload)}")
     logs = filter_logs(log_lines)
-    return dict(
+    return _HEAD.format(
         instruction=plan.instruction,
         plan_steps=plan_steps,
         grounding_section=grounding,
@@ -66,12 +64,8 @@ def build_end_to_end_prompt(
     trace: Trace,
     registry: ExplainerRegistry,
 ) -> str:
-    """The end-to-end prompt; its evidence is built once per trace and source union."""
-    sources = _source_union(registry)
-    evidence = trace.derived(
-        ("end_to_end_evidence", sources), lambda: _end_to_end_evidence(trace, sources)
-    )
-    return load_prompt_template("end_to_end").format(query=query.text, **evidence)
+    """The end-to-end prompt; its head is built once per trace and source union."""
+    return trace.derived(_end_to_end_evidence, registry.sources) + query.text + _TAIL
 
 
 def explain_end_to_end(

@@ -108,6 +108,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         return _fail(f"seed must be non-negative: {args.seed}")
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1: {args.jobs}")
     try:
         if args.manifest:
             triples = read_manifest(args.manifest)

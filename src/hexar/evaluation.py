@@ -106,7 +106,7 @@ def run_grid(
     registry: ExplainerRegistry | None = None,
     jobs: int = 1,
 ) -> list[EvalRecord]:
-    """Explain every (scenario, variant, query) point with every method.
+    """Explain every distinct (scenario, variant, query) point with every distinct method.
 
     One trace per (scenario, variant) is generated and shared by all
     methods and queries. A per-sample failure the design expects (one of
@@ -117,6 +117,10 @@ def run_grid(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1: {jobs}")
+    # a repeated method, like a repeated grid point, is answered once
+    methods = list(dict.fromkeys(methods))
 
     traces: dict[tuple[int, int], Trace] = {}
     for scenario_id, variant, _ in triples:

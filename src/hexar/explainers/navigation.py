@@ -14,7 +14,7 @@ import re
 from importlib import resources
 
 from ..framework import ExplainerError
-from ..reasoner import TextReasoner, load_prompt_template
+from ..reasoner import TextReasoner, split_prompt_template
 from ..trace import ContextVector, EventView, Query
 
 _RELEVANT_PARAMS = (
@@ -30,6 +30,8 @@ DISCARD_PHRASES = (
     "Waiting for costmap",
 )
 _DISCARD = re.compile("|".join(map(re.escape, DISCARD_PHRASES)))
+
+_HEAD, _TAIL = split_prompt_template("navigation")
 
 # The context budget, in log lines, of both the navigation prompt and the
 # end-to-end prompt: a longer filtered log keeps its first and last lines.
@@ -86,8 +88,8 @@ def situation_catalogue() -> str:
     return "\n".join(lines)
 
 
-def _navigation_evidence(events: EventView) -> dict[str, str]:
-    """Every field of the navigation prompt except the query."""
+def _navigation_evidence(events: EventView) -> str:
+    """The navigation prompt up to its query."""
     log_lines: list[str] = []
     params: list[str] = []
     try:
@@ -99,7 +101,7 @@ def _navigation_evidence(events: EventView) -> dict[str, str]:
                 params.append(f"- {e.payload['name']} = {e.payload['value']}")
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
-    return dict(
+    return _HEAD.format(
         logs="\n".join(filter_logs(log_lines)) or "(no navigation logs)",
         params="\n".join(params) or "(none)",
         situation_catalogue=situation_catalogue(),
@@ -107,9 +109,8 @@ def _navigation_evidence(events: EventView) -> dict[str, str]:
 
 
 def build_navigation_prompt(query: Query, events: EventView) -> str:
-    """The navigation prompt; its evidence is built once per event view."""
-    evidence = events.derived(_navigation_evidence)
-    return load_prompt_template("navigation").format(query=query.text, **evidence)
+    """The navigation prompt; its head is built once per event view."""
+    return events.derived(_navigation_evidence) + query.text + _TAIL
 
 
 def explain_navigation(

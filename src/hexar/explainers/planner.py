@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from ..reasoner import TextReasoner, load_prompt_template
+from ..reasoner import TextReasoner, split_prompt_template
 from ..trace import ContextVector, EventView, Query, TaskPlan
+
+_HEAD, _TAIL = split_prompt_template("planner")
 
 
 def format_items(items: dict) -> str:
@@ -21,17 +23,22 @@ def format_plan(plan: TaskPlan) -> tuple[str, str]:
     return "\n".join(steps) or "(no steps)", grounding
 
 
-def build_planner_prompt(query: Query, context: ContextVector) -> str:
+def _planner_evidence(context: ContextVector) -> str:
+    """The planner prompt up to its query: instruction, plan, grounding errors, statuses."""
     plan = context.plan
     plan_steps, grounding = format_plan(plan)
     statuses = "\n".join(f"- {skill}: {status}" for skill, status in context.skills) or "(none)"
-    return load_prompt_template("planner").format(
+    return _HEAD.format(
         instruction=plan.instruction,
         plan_steps=plan_steps,
         grounding_section=grounding,
         skill_statuses=statuses,
-        query=query.text,
     )
+
+
+def build_planner_prompt(query: Query, context: ContextVector) -> str:
+    """The planner prompt; its head is built once per context."""
+    return context.derived(_planner_evidence) + query.text + _TAIL
 
 
 def explain_planner(

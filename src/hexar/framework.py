@@ -11,6 +11,7 @@ wraps around the caller's reasoner.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
@@ -21,6 +22,7 @@ from .reasoner import (
     ReasonerResponse,
     TextReasoner,
     load_prompt_template,
+    split_prompt_template,
 )
 from .trace import ContextVector, EventView, Explanation, Query, Trace, TraceError
 
@@ -101,12 +103,28 @@ class ComponentExplainer:
             raise ValueError(f"explainer {self.id!r} must subscribe to at least one source")
 
 
+_CLASSIFIER_HEAD, _CLASSIFIER_TAIL = split_prompt_template("classifier")
+
+
+def _classifier_head(explainers: Iterable[ComponentExplainer]) -> str:
+    """The classifier prompt up to its query: one candidate line per explainer."""
+    candidates = "\n".join(f"- {e.id}: {e.capability}" for e in explainers)
+    return _CLASSIFIER_HEAD.format(candidates=candidates)
+
+
 class ExplainerRegistry:
-    """Mapping from robot modules to the explainers that can cover them."""
+    """Mapping from robot modules to the explainers that can cover them.
+
+    ``register`` also keeps what every answer reads of the whole registry:
+    ``sources``, the union of all subscribed sources, and ``classifier_head``,
+    the classifier prompt up to its query.
+    """
 
     def __init__(self) -> None:
         self.entries: dict[str, list[str]] = {}
         self.explainers: dict[str, ComponentExplainer] = {}
+        self.sources: frozenset[str] = frozenset()
+        self.classifier_head = _classifier_head(())
 
     def register(self, explainer: ComponentExplainer, modules: list[str]) -> None:
         if explainer.id in self.explainers:
@@ -114,6 +132,8 @@ class ExplainerRegistry:
         self.explainers[explainer.id] = explainer
         for module in modules:
             self.entries.setdefault(module, []).append(explainer.id)
+        self.sources |= explainer.subscribed_sources
+        self.classifier_head = _classifier_head(self.explainers.values())
 
     def explainer_for_module(self, module: str) -> str:
         ids = self.entries.get(module)
@@ -137,10 +157,8 @@ class SelectorDecision:
 
 
 def build_classifier_prompt(query: Query, registry: ExplainerRegistry) -> str:
-    candidates = "\n".join(
-        f"- {explainer.id}: {explainer.capability}" for explainer in registry.explainers.values()
-    )
-    return load_prompt_template("classifier").format(candidates=candidates, query=query.text)
+    """The classifier prompt; its head is built by ``register``."""
+    return registry.classifier_head + query.text + _CLASSIFIER_TAIL
 
 
 def select(

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import re
+import string
 import urllib.parse
 from dataclasses import dataclass
 from importlib import resources
@@ -24,6 +25,7 @@ _CF_LINE = re.compile(
     r"(\w+) occurred because (\w+) = (.+?)\. "
     r"If \2 = (.+?), (\w+) would have occurred instead\."
 )
+_PLAN_TARGET = re.compile(r"location=([a-z ]+)\)")
 
 
 class ReasonerError(RuntimeError):
@@ -76,6 +78,36 @@ def load_prompt_template(name: str) -> str:
     return resources.files("hexar.data").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
 
+def split_prompt_template(name: str) -> tuple[str, str]:
+    """The template ``name`` cut at its one ``{query}`` field.
+
+    Returns the head, still a template to format with the other fields, and
+    the literal tail, so that ``head.format(**fields) + query + tail`` equals
+    ``template.format(query=query, **fields)`` for any query text. A template
+    without a plain ``{query}``, with two, or with a field after it is refused.
+    """
+    head: list[str] = []
+    tail: list[str] = []
+    seen = False
+    for literal, field, spec, conversion in string.Formatter().parse(load_prompt_template(name)):
+        if seen:
+            if field is not None:
+                raise ValueError(f"prompt template {name!r}: field {{{field}}} follows {{query}}")
+            tail.append(literal)
+            continue
+        head.append(literal.replace("{", "{{").replace("}", "}}"))
+        if field == "query":
+            if spec or conversion:
+                raise ValueError(f"prompt template {name!r}: {{query}} must be plain")
+            seen = True
+        elif field is not None:
+            conversion = f"!{conversion}" if conversion else ""
+            head.append(f"{{{field}{conversion}:{spec}}}")
+    if not seen:
+        raise ValueError(f"prompt template {name!r} has no {{query}} field")
+    return "".join(head), "".join(tail)
+
+
 def _section(prompt: str, name: str) -> str | None:
     """Text of the first '## name' section, up to the next section header.
 
@@ -94,6 +126,10 @@ def _section(prompt: str, name: str) -> str | None:
     return prompt[start : end if end >= 0 else len(prompt)].strip()
 
 
+def _situations_in(situations: list[dict], scopes: tuple[str, ...]) -> list[tuple[str, str]]:
+    return [(e["marker"], e["sentence"]) for e in situations if e["scope"] in scopes]
+
+
 class RuleReasoner(TextReasoner):
     """Deterministic stand-in for a greedy-decoded language model.
 
@@ -107,7 +143,12 @@ class RuleReasoner(TextReasoner):
             (re.compile(entry["pattern"], re.I), entry["explainer"])
             for entry in _load_json("classifier_keywords.json")
         ]
-        self._situations = _load_json("situations.json")
+        situations = _load_json("situations.json")
+        # (marker, sentence) in catalogue order, per scope set a prompt family reads
+        self._navigation_situations = _situations_in(situations, ("navigation",))
+        self._evidence_situations = _situations_in(
+            situations, ("navigation", "help", "tts", "pizza")
+        )
         self._cf_phrasings = _load_json("counterfactual_phrasings.json")
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
@@ -142,17 +183,14 @@ class RuleReasoner(TextReasoner):
         # generic queries on successful runs default to the planner view
         return "planner"
 
-    def _matches(self, text: str, scopes: tuple[str, ...]) -> list[str]:
-        found = []
-        for entry in self._situations:
-            if entry["scope"] in scopes and entry["marker"] in text:
-                found.append(entry["sentence"])
-        return found
+    @staticmethod
+    def _matches(text: str, situations: list[tuple[str, str]]) -> list[str]:
+        return [sentence for marker, sentence in situations if marker in text]
 
     def _navigation(self, prompt: str) -> str:
         logs = _section(prompt, "Navigation logs") or ""
         params = _section(prompt, "Robot parameters") or ""
-        matched = self._matches(logs + "\n" + params, ("navigation",))
+        matched = self._matches(logs + "\n" + params, self._navigation_situations)
         if not matched:
             raise NoMatchError("no known navigation situation matches the evidence")
         return matched[0]
@@ -178,7 +216,7 @@ class RuleReasoner(TextReasoner):
                 return f"The plan itself was valid; the {skill} skill failed during execution."
         instruction = (_section(prompt, "Instruction") or "").lower()
         plan = (_section(prompt, "Plan") or "").replace("_", " ").lower()
-        targets = re.findall(r"location=([a-z ]+)\)", plan)
+        targets = _PLAN_TARGET.findall(plan)
         for location in KNOWN_LOCATIONS:
             if location in instruction and location not in targets:
                 return (
@@ -203,7 +241,7 @@ class RuleReasoner(TextReasoner):
         finding = self._planner_finding(prompt)
         if finding is not None:
             parts.append(finding)
-        for sentence in self._matches(evidence, ("navigation", "help", "tts", "pizza")):
+        for sentence in self._matches(evidence, self._evidence_situations):
             if sentence not in parts:
                 parts.append(sentence)
         if not parts:

@@ -18,6 +18,8 @@ from typing import TypeVar, Union
 
 Scalar = Union[str, int, float, bool]
 _T = TypeVar("_T")
+_S = TypeVar("_S")
+_A = TypeVar("_A", bound=Hashable)
 
 SOURCES = (
     "planner",
@@ -94,7 +96,29 @@ def _first_disorder(stamps: list[float]) -> int | None:
     return next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
 
 
-class EventView(tuple):
+class _KeepsDerived:
+    """Keeps values computed from the instance alone, in its ``_memo`` dict."""
+
+    __slots__ = ()
+    _memo: dict[Callable[..., object], object]
+
+    def derived(self: _S, compute: Callable[[_S], _T]) -> _T:
+        """``compute(self)``, run on the first call for ``compute`` and kept by this instance.
+
+        ``compute`` must be a module-level function of this instance alone,
+        never of a query or a reasoner's reply; its value is kept under the
+        function. Only a value it returns is kept: an exception propagates,
+        and the next call computes again. Two racing first calls compute
+        twice and one value is kept.
+        """
+        memo = self._memo
+        if compute in memo:
+            return memo[compute]
+        value = memo[compute] = compute(self)
+        return value
+
+
+class EventView(_KeepsDerived, tuple):
     """One trace's events from a set of sources, in trace order.
 
     A tuple that also keeps values computed from these events alone, each
@@ -104,21 +128,7 @@ class EventView(tuple):
     """
 
     def __init__(self, events: Iterable[Event]) -> None:
-        self._memo: dict[Callable[[EventView], object], object] = {}
-
-    def derived(self, compute: Callable[[EventView], _T]) -> _T:
-        """``compute(self)``, run on the first call for ``compute`` and kept by this view.
-
-        ``compute`` must be a module-level function of the events alone, never
-        of a query or a reasoner's reply. Only a value it returns is kept: an
-        exception propagates, and the next call computes again. Two racing
-        first calls compute twice and one value is kept.
-        """
-        memo = self._memo
-        if compute in memo:
-            return memo[compute]
-        value = memo[compute] = compute(self)
-        return value
+        self._memo = {}
 
 
 @dataclass(frozen=True)
@@ -151,15 +161,21 @@ class Trace:
             )
         object.__setattr__(self, "_memo", {})
 
-    def derived(self, key: Hashable, compute: Callable[[], _T]) -> _T:
-        """``compute()``, run on the first call for ``key`` and kept by this trace.
+    def derived(self, compute: Callable[[Trace, _A], _T], arg: _A) -> _T:
+        """``compute(self, arg)``, run on the first call for ``compute`` and ``arg``.
 
-        ``compute`` must depend on the events and ``key`` alone.
+        Kept like ``EventView.derived``: under the module-level function, then
+        under its hashable argument, so no caller builds a key or a closure.
+        ``compute`` must depend on the events and ``arg`` alone. An exception
+        propagates and is never kept.
         """
-        memo = self._memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+        kept = self._memo.get(compute)
+        if kept is None:
+            kept = self._memo.setdefault(compute, {})
+        if arg in kept:
+            return kept[arg]
+        value = kept[arg] = compute(self, arg)
+        return value
 
     def by_source(self, sources: frozenset[str] | set[str]) -> EventView:
         """Events from ``sources``, in trace order, as one view kept per source set."""
@@ -281,11 +297,19 @@ class Query:
 
 
 @dataclass(frozen=True)
-class ContextVector:
-    """Task context handed to a selected component explainer."""
+class ContextVector(_KeepsDerived):
+    """Task context handed to a selected component explainer.
+
+    Like an ``EventView``, it keeps what is computed from it alone (see
+    ``derived``); ``Trace.context`` makes it once, so it lives and dies with
+    its trace. Equality and ``repr`` ignore what it keeps.
+    """
 
     plan: TaskPlan
     skills: tuple[tuple[str, str], ...]  # (skill, latest status), plan order
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo", {})
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from hexar import baselines
 from hexar.baselines import (
     build_end_to_end_prompt,
     explain_all_components,
@@ -75,7 +74,7 @@ def test_information_parity_with_union_of_views(registry, trace_cache):
         for explainer in registry.explainers.values():
             union.update(_event_key(e) for e in trace.by_source(explainer.subscribed_sources))
         # the view the end-to-end evidence is built from
-        view = trace.by_source(baselines._source_union(registry))
+        view = trace.by_source(registry.sources)
         reachable = Counter(_event_key(e) for e in view)
         assert reachable == Counter(sorted(union))
 

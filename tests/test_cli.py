@@ -524,6 +524,44 @@ def test_negative_seed_is_usage_error(tmp_path, small_manifest, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evaluate_rejects_jobs_below_one(tmp_path, small_manifest, capsys, monkeypatch, jobs):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("run_grid must not start with an invalid --jobs")
+
+    monkeypatch.setattr(cli.evaluation, "run_grid", no_grid)
+    out = tmp_path / "r.csv"
+    code, _, err = run(
+        ["evaluate", "--manifest", str(small_manifest), "--jobs", jobs, "--out", str(out)], capsys
+    )
+    assert (code, err) == (2, f"error: --jobs must be at least 1: {jobs}\n")
+    assert not out.exists()
+
+
+def test_evaluate_with_a_repeated_method_writes_a_report_ready_file(
+    tmp_path, small_manifest, capsys
+):
+    results = tmp_path / "results.csv"
+    code, out, _ = run(
+        [
+            "evaluate",
+            "--manifest",
+            str(small_manifest),
+            "--methods",
+            "hexar,hexar",
+            "--out",
+            str(results),
+        ],
+        capsys,
+    )
+    assert (code, out) == (0, f"wrote 9 records to {results}\n")
+    code, _, err = run(
+        ["report", "--results", str(results), "--auto-annotate", "--out", str(tmp_path / "rep")],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+
+
 def test_report_auto_annotate(tmp_path, small_manifest, capsys):
     results = tmp_path / "results.csv"
     run(

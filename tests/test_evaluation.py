@@ -101,6 +101,24 @@ def test_run_grid_rejects_unknown_method(rule_reasoner_module):
         run_grid(["telepathy"], grid_triples()[:1], rule_reasoner_module, seed=0)
 
 
+def test_run_grid_answers_a_repeated_method_once(rule_reasoner_module):
+    triples = [(7, 1, 1), (20, 1, 2), (7, 1, 1)]
+    records = run_grid(["hexar", "end_to_end", "hexar"], triples, rule_reasoner_module, seed=0)
+    assert [r.sample_id for r in records] == [
+        "s07v1q1_hexar", "s07v1q1_end_to_end", "s20v1q2_hexar", "s20v1q2_end_to_end"
+    ]
+    once = run_grid(["hexar"], triples, rule_reasoner_module, seed=0)
+    twice = run_grid(["hexar", "hexar"], triples, rule_reasoner_module, seed=0)
+    key = lambda rs: [replace(r, wall_time=0.0) for r in rs]
+    assert key(twice) == key(once)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_grid_rejects_jobs_below_one(rule_reasoner_module, jobs):
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1: {jobs}$"):
+        run_grid(["hexar"], [(7, 1, 1)], rule_reasoner_module, seed=0, jobs=jobs)
+
+
 def test_run_grid_lets_program_bugs_propagate():
     from hexar.reasoner import TextReasoner
 

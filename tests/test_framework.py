@@ -5,10 +5,14 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexar import evaluation
+from hexar import evaluation, framework, reasoner
 from hexar.baselines import build_end_to_end_prompt, explain_all_components, explain_end_to_end
-from hexar.explainers import help_causal, navigation, pizza, tts
+from hexar.explainers import build_default_registry, help_causal, navigation, pizza, planner, tts
+from hexar.explainers.navigation import build_navigation_prompt, filter_logs, situation_catalogue
+from hexar.explainers.planner import build_planner_prompt, format_items, format_plan
 from hexar.framework import (
     ANSWER_ERRORS,
     ComponentExplainer,
@@ -18,10 +22,16 @@ from hexar.framework import (
     SelectionError,
     SelectorStage,
     aggregate,
+    build_classifier_prompt,
     explain_hexar,
     select,
 )
-from hexar.reasoner import ReasonerResponse, TextReasoner
+from hexar.reasoner import (
+    ReasonerResponse,
+    TextReasoner,
+    load_prompt_template,
+    split_prompt_template,
+)
 from hexar.scenarios import (
     N_SCENARIOS,
     N_TASK_VARIANTS,
@@ -157,14 +167,16 @@ def _reference_context(trace):
 
 
 def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reasoner):
-    """Warm answers on one trace equal cold ones on a fresh copy, seeds 0-4.
+    """Warm answers and prompts on one trace equal cold ones on a fresh copy, seeds 0-4.
 
     Each query is asked at the end and mid-trace, and the end-to-end
-    prompt is built for two registries with different source unions.
+    prompt is built for two registries with different source unions; the
+    classifier prompt is compared with a fresh registry's.
     """
     partial = ExplainerRegistry()
     for explainer_id in ("planner", "text_to_speech"):
         partial.register(registry.explainers[explainer_id], [explainer_id])
+    nav_sources = registry.explainers["navigation"].subscribed_sources
     source_sets = [e.subscribed_sources for e in registry.explainers.values()]
     source_sets.append(frozenset().union(*source_sets))
     for seed in range(5):
@@ -187,6 +199,15 @@ def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reas
                         assert build_end_to_end_prompt(query, trace, reg) == (
                             build_end_to_end_prompt(query, cold(), reg)
                         )
+                    assert build_navigation_prompt(query, trace.by_source(nav_sources)) == (
+                        build_navigation_prompt(query, cold().by_source(nav_sources))
+                    )
+                    assert build_planner_prompt(query, trace.context) == (
+                        build_planner_prompt(query, cold().context)
+                    )
+                    assert build_classifier_prompt(query, registry) == (
+                        build_classifier_prompt(query, build_default_registry())
+                    )
                     assert select(query, trace, registry, rule_reasoner) == (
                         select(query, cold(), registry, rule_reasoner)
                     )
@@ -216,8 +237,10 @@ def test_end_to_end_evidence_is_built_once_per_trace(monkeypatch, registry, rule
     assert len(calls) == 2
 
 
-# Each component explainer's query-independent evidence, by explainer id.
+# Each component explainer's query-independent evidence, by explainer id; the
+# planner's is its prompt head, kept by the trace's context.
 _EVIDENCE = {
+    "planner": (planner, "_planner_evidence"),
     "navigation": (navigation, "_navigation_evidence"),
     "ask_human_for_help": (help_causal, "_help_evidence"),
     "text_to_speech": (tts, "_tts_answer"),
@@ -302,6 +325,199 @@ def test_event_view_keeps_a_value_only_once_computed():
     assert view.derived(fails_then_works) is value
     assert len(calls) == 3 and all(events is view for events in calls)
     assert view == () and isinstance(view, tuple)
+
+
+def test_trace_and_context_keep_a_value_only_once_computed():
+    trace = generate_trace(7, 1, 0)
+    calls = []
+
+    def fails_then_works(owner, arg=None):
+        calls.append((owner, arg))
+        if len(calls) < 3:
+            raise ValueError(f"attempt {len(calls)}")
+        return [arg]
+
+    for attempt in (1, 2):
+        with pytest.raises(ValueError, match=f"^attempt {attempt}$"):
+            trace.derived(fails_then_works, "a")
+    value = trace.derived(fails_then_works, "a")
+    assert trace.derived(fails_then_works, "a") is value == ["a"]
+    # each argument is kept apart
+    assert trace.derived(fails_then_works, "b") == ["b"]
+    assert calls == [(trace, "a")] * 3 + [(trace, "b")]
+
+    context = trace.context
+    kept = context.derived(fails_then_works)
+    assert context.derived(fails_then_works) is kept and len(calls) == 5
+    # equality and repr ignore what a context keeps; a copy keeps nothing
+    copy = dataclasses.replace(context)
+    assert copy == context and repr(copy) == repr(context)
+    assert copy.derived(fails_then_works) is not kept and len(calls) == 6
+
+
+# Pieces a question may hold that str.format, a prompt section header or the
+# rule reasoner's section scan would treat specially.
+_QUERY_PIECES = st.sampled_from(
+    ["{", "}", "{query}", "{0}", "## Query\n", "\n## Grounding errors\n", "\\", "é", "漢字", "🍕"]
+)
+
+
+def _reference_fields(name, trace, registry):
+    """Every field of prompt template ``name``, rendered from scratch."""
+    if name == "classifier":
+        candidates = "\n".join(f"- {e.id}: {e.capability}" for e in registry.explainers.values())
+        return dict(candidates=candidates)
+    plan = trace.plan
+    plan_steps, grounding = format_plan(plan)
+    if name == "planner":
+        statuses = [f"- {skill}: {status}" for skill, status in _reference_context(trace).skills]
+        return dict(
+            instruction=plan.instruction,
+            plan_steps=plan_steps,
+            grounding_section=grounding,
+            skill_statuses="\n".join(statuses) or "(none)",
+        )
+    if name == "navigation":
+        events = _reference_view(trace, registry.explainers["navigation"].subscribed_sources)
+        logs = [
+            str(e.payload.get("text", ""))
+            for e in events
+            if e.kind == "log" and e.source == "navigation"
+        ]
+        params = [
+            f"- {e.payload['name']} = {e.payload['value']}"
+            for e in events
+            if e.kind == "param" and e.payload.get("name") in navigation._RELEVANT_PARAMS
+        ]
+        return dict(
+            logs="\n".join(filter_logs(logs)) or "(no navigation logs)",
+            params="\n".join(params) or "(none)",
+            situation_catalogue=situation_catalogue(),
+        )
+    sources = frozenset().union(*(e.subscribed_sources for e in registry.explainers.values()))
+    sections = {"log": [], "skill_status": [], "param": [], "other": []}
+    for e in _reference_view(trace, sources):
+        if e.kind == "log":
+            sections["log"].append(f"[{e.source}] " + str(e.payload.get("text", "")))
+        elif e.kind == "skill_status":
+            extra = {k: v for k, v in e.payload.items() if k not in ("skill", "status")}
+            suffix = f" ({format_items(extra)})" if extra else ""
+            sections["skill_status"].append(
+                f"- {e.payload['skill']}: {e.payload['status']}{suffix}"
+            )
+        elif e.kind == "param":
+            sections["param"].append(f"- {format_items(e.payload)}")
+        elif e.kind in ("detection", "dialogue"):
+            sections["other"].append(
+                f"- {e.ts:.2f} {e.source} {e.kind}: {format_items(e.payload)}"
+            )
+    return dict(
+        instruction=plan.instruction,
+        plan_steps=plan_steps,
+        grounding_section=grounding,
+        skill_statuses="\n".join(sections["skill_status"]) or "(none)",
+        logs="\n".join(filter_logs(sections["log"])) or "(none)",
+        params="\n".join(sections["param"]) or "(none)",
+        other_events="\n".join(sections["other"]) or "(none)",
+        situation_catalogue=situation_catalogue(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.lists(st.one_of(_QUERY_PIECES, st.text()), min_size=1).map("".join).filter(bool))
+def test_prompt_builders_equal_the_formatted_template(registry, trace_cache, text):
+    """Head plus question plus tail is the whole template formatted, for any question."""
+    nav_sources = registry.explainers["navigation"].subscribed_sources
+    builders = {
+        "classifier": lambda query, trace: build_classifier_prompt(query, registry),
+        "planner": lambda query, trace: build_planner_prompt(query, trace.context),
+        "navigation": lambda query, trace: build_navigation_prompt(
+            query, trace.by_source(nav_sources)
+        ),
+        "end_to_end": lambda query, trace: build_end_to_end_prompt(query, trace, registry),
+    }
+    # the first scenario of each module, seed 0
+    first = {s.relevant_module: s.scenario_id for s in reversed(list_scenarios())}
+    for scenario_id in first.values():
+        trace = trace_cache(scenario_id)
+        query = _query(trace, text)
+        for name, build in builders.items():
+            fields = _reference_fields(name, trace, registry)
+            assert build(query, trace) == load_prompt_template(name).format(query=text, **fields)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "a {{b}} {c}\n\n## Query\n{query}\n",
+        "{c:>6}{{query}} {query} {{d}}\n",
+        "{query}",
+        "{c!r} then {query}}}",
+    ],
+)
+def test_split_template_formats_like_the_whole_template(monkeypatch, template):
+    monkeypatch.setattr(reasoner, "load_prompt_template", lambda name: template)
+    head, tail = split_prompt_template("t")
+    for text in ("q", "{x} {query} }{", "\\n"):
+        assert head.format(c="C") + text + tail == template.format(query=text, c="C")
+
+
+@pytest.mark.parametrize(
+    "template, problem",
+    [
+        ("## Query\n{question}\n", "has no {query} field"),
+        ("only {{query}} escaped\n", "has no {query} field"),
+        ("{query} and {query}\n", "field {query} follows {query}"),
+        ("{query}\n{candidates}\n", "field {candidates} follows {query}"),
+        ("{query!r}\n", "{query} must be plain"),
+    ],
+)
+def test_split_template_refuses_a_template_without_one_final_query(
+    monkeypatch, template, problem
+):
+    monkeypatch.setattr(reasoner, "load_prompt_template", lambda name: template)
+    with pytest.raises(ValueError) as info:
+        split_prompt_template("broken")
+    assert str(info.value).startswith("prompt template 'broken'")
+    assert problem in str(info.value)
+
+
+class _RecordingReasoner(StubReasoner):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.prompts: list[str] = []
+
+    def complete(self, request):
+        self.prompts.append(request.user_prompt)
+        return super().complete(request)
+
+
+def test_classifier_head_is_built_once_per_registry(monkeypatch, rule_reasoner, trace_cache):
+    heads = []
+    build = framework._classifier_head
+
+    def counting(explainers):
+        heads.append(1)
+        return build(explainers)
+
+    monkeypatch.setattr(framework, "_classifier_head", counting)
+    registry = build_default_registry()
+    built = len(heads)
+    trace = trace_cache(20)  # a successful run: every question reaches the classifier
+    for text in get_scenario(20).queries:
+        decision = select(_query(trace, text), trace, registry, rule_reasoner)
+        assert decision.stage is SelectorStage.QUERY_CLASSIFIER
+    assert len(heads) == built
+
+    recorder = _RecordingReasoner("navigation")
+    registry.register(
+        ComponentExplainer("odometry", frozenset({"system"}), lambda *a: "x", "wheel odometry"),
+        ["odometry"],
+    )
+    assert len(heads) == built + 1
+    select(_query(trace), trace, registry, recorder)
+    prompt = recorder.prompts[-1]
+    assert prompt.endswith("- odometry: wheel odometry\n\n## Query\nWhat happened?\n")
 
 
 class _CountingEvents(tuple):
