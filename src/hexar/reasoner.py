@@ -108,22 +108,24 @@ def split_prompt_template(name: str) -> tuple[str, str]:
     return "".join(head), "".join(tail)
 
 
-def _section(prompt: str, name: str) -> str | None:
-    """Text of the first '## name' section, up to the next section header.
+def _sections(prompt: str) -> dict[str, str]:
+    """Every ``## name`` section of a prompt, from one split.
 
-    A header is the line ``## name`` at the start of the prompt or after a
-    newline; the section ends before the next line starting with ``## ``.
+    A header is a whole line ``## name`` that ends in a newline, at the start
+    of the prompt or after a newline. Its section runs to the next line that
+    starts with ``## `` or to the end of the prompt. The first section of a
+    name wins, and each body is stripped.
     """
-    header = f"## {name}\n"
-    if prompt.startswith(header):
-        start = len(header)
-    else:
-        start = prompt.find("\n" + header)
-        if start < 0:
-            return None
-        start += 1 + len(header)
-    end = prompt.find("\n## ", start - 1)
-    return prompt[start : end if end >= 0 else len(prompt)].strip()
+    _, *pieces = ("\n" + prompt).split("\n## ")
+    if pieces and "\n" not in pieces[-1]:
+        pieces.pop()  # a last "## name" line without its newline is no header
+    sections: dict[str, str] = {}
+    for piece in pieces:
+        # a piece without a newline is a header whose newline began the next one
+        name, _, body = piece.partition("\n")
+        if name not in sections:
+            sections[name] = body.strip()
+    return sections
 
 
 def _situations_in(situations: list[dict], scopes: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -136,6 +138,12 @@ class RuleReasoner(TextReasoner):
     Pattern-matches the structured sections of each known prompt family and
     emits the catalogue sentence for the matched situation. Raises
     :class:`NoMatchError` instead of fabricating an answer.
+
+    Each prompt is split into sections once (:func:`_sections`): a section
+    header is a whole line ``## name``, and the first section of a name wins.
+    The prompt family is picked from which headers exist, so a question that
+    mentions ``## Counterfactual`` mid-line is still read as a question. A
+    question line that itself begins with ``## `` is read as a header.
     """
 
     def __init__(self) -> None:
@@ -154,27 +162,27 @@ class RuleReasoner(TextReasoner):
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         if not request.system_prompt or not request.user_prompt:
             raise ReasonerError("prompts must be non-empty")
-        prompt = request.user_prompt
-        if "## Candidate explainers" in prompt:
-            text = self._classify(prompt)
-        elif "## Explanations to merge" in prompt:
-            text = self._aggregate(prompt)
-        elif "## Counterfactual" in prompt:
-            text = self._naturalise(prompt)
-        elif "## All recorded information" in prompt:
-            text = self._end_to_end(prompt)
-        elif "## Navigation logs" in prompt:
-            text = self._navigation(prompt)
-        elif "## Instruction" in prompt and "## Plan" in prompt:
-            text = self._planner(prompt)
+        sections = _sections(request.user_prompt)
+        if "Candidate explainers" in sections:
+            text = self._classify(sections)
+        elif "Explanations to merge" in sections:
+            text = self._aggregate(sections)
+        elif "Counterfactual" in sections:
+            text = self._naturalise(sections)
+        elif "All recorded information" in sections:
+            text = self._end_to_end(sections)
+        elif "Navigation logs" in sections:
+            text = self._navigation(sections)
+        elif "Instruction" in sections and "Plan" in sections:
+            text = self._planner(sections)
         else:
             raise NoMatchError("no deterministic rule matches this prompt")
         return ReasonerResponse(text=text, latency=0.0)
 
     # -- prompt family handlers -------------------------------------------
 
-    def _classify(self, prompt: str) -> str:
-        query = _section(prompt, "Query")
+    def _classify(self, sections: dict[str, str]) -> str:
+        query = sections.get("Query")
         if query is None:
             raise NoMatchError("classification prompt lacks a query section")
         for pattern, explainer in self._keywords:
@@ -187,16 +195,15 @@ class RuleReasoner(TextReasoner):
     def _matches(text: str, situations: list[tuple[str, str]]) -> list[str]:
         return [sentence for marker, sentence in situations if marker in text]
 
-    def _navigation(self, prompt: str) -> str:
-        logs = _section(prompt, "Navigation logs") or ""
-        params = _section(prompt, "Robot parameters") or ""
-        matched = self._matches(logs + "\n" + params, self._navigation_situations)
+    def _navigation(self, sections: dict[str, str]) -> str:
+        evidence = sections["Navigation logs"] + "\n" + sections.get("Robot parameters", "")
+        matched = self._matches(evidence, self._navigation_situations)
         if not matched:
             raise NoMatchError("no known navigation situation matches the evidence")
         return matched[0]
 
-    def _planner_finding(self, prompt: str) -> str | None:
-        errors = _section(prompt, "Grounding errors")
+    def _planner_finding(self, sections: dict[str, str]) -> str | None:
+        errors = sections.get("Grounding errors")
         if errors:
             sentences = []
             for line in errors.splitlines():
@@ -209,13 +216,12 @@ class RuleReasoner(TextReasoner):
                     sentences.append(f"The plan could not be executed: {err}.")
             if sentences:
                 return " ".join(sentences)
-        statuses = _section(prompt, "Skill statuses") or ""
-        for line in statuses.splitlines():
+        for line in sections.get("Skill statuses", "").splitlines():
             if ": failed" in line:
                 skill = line.lstrip("- ").split(":", 1)[0].strip()
                 return f"The plan itself was valid; the {skill} skill failed during execution."
-        instruction = (_section(prompt, "Instruction") or "").lower()
-        plan = (_section(prompt, "Plan") or "").replace("_", " ").lower()
+        instruction = sections.get("Instruction", "").lower()
+        plan = sections.get("Plan", "").replace("_", " ").lower()
         targets = _PLAN_TARGET.findall(plan)
         for location in KNOWN_LOCATIONS:
             if location in instruction and location not in targets:
@@ -224,21 +230,21 @@ class RuleReasoner(TextReasoner):
                 )
         return None
 
-    def _planner(self, prompt: str) -> str:
-        finding = self._planner_finding(prompt)
+    def _planner(self, sections: dict[str, str]) -> str:
+        finding = self._planner_finding(sections)
         if finding is not None:
             return finding
         return "The plan was valid and every step completed successfully."
 
-    def _end_to_end(self, prompt: str) -> str:
+    def _end_to_end(self, sections: dict[str, str]) -> str:
         # match only evidence sections; the embedded situation catalogue
         # would otherwise match every marker
         evidence = "\n".join(
-            _section(prompt, name) or ""
+            sections.get(name, "")
             for name in ("Skill statuses", "Filtered logs", "Robot parameters", "Other events")
         )
         parts: list[str] = []
-        finding = self._planner_finding(prompt)
+        finding = self._planner_finding(sections)
         if finding is not None:
             parts.append(finding)
         for sentence in self._matches(evidence, self._evidence_situations):
@@ -248,9 +254,8 @@ class RuleReasoner(TextReasoner):
             raise NoMatchError("no known situation matches the recorded information")
         return " ".join(parts)
 
-    def _naturalise(self, prompt: str) -> str:
-        section = _section(prompt, "Counterfactual") or ""
-        match = _CF_LINE.search(section)
+    def _naturalise(self, sections: dict[str, str]) -> str:
+        match = _CF_LINE.search(sections["Counterfactual"])
         if not match:
             raise NoMatchError("counterfactual sentence does not parse")
         outcome, _, observed, boundary, _ = match.groups()
@@ -259,12 +264,9 @@ class RuleReasoner(TextReasoner):
             raise NoMatchError(f"no phrasing for outcome {outcome!r}")
         return phrasing.format(x=observed, x_star=boundary)
 
-    def _aggregate(self, prompt: str) -> str:
-        section = _section(prompt, "Explanations to merge")
-        if section is None:
-            raise NoMatchError("aggregation prompt lacks explanations")
+    def _aggregate(self, sections: dict[str, str]) -> str:
         seen: list[str] = []
-        for line in section.splitlines():
+        for line in sections["Explanations to merge"].splitlines():
             text = line.lstrip("- ").strip()
             if text and text not in seen:
                 seen.append(text)

@@ -139,6 +139,19 @@ def test_explain_is_deterministic(charger_trace, capsys):
     assert strip_time(first) == strip_time(second)
 
 
+@pytest.mark.parametrize(
+    "header", ["## Candidate explainers", "## Counterfactual", "## Explanations to merge"]
+)
+@pytest.mark.parametrize("method", ["hexar", "end-to-end", "all-components"])
+def test_explain_question_naming_a_section_header_mid_line(charger_trace, capsys, method, header):
+    args = ["explain", "--trace", str(charger_trace), "--method", method, "--query"]
+    code, out, _ = run(args + [f"Why didn't {header} you bring it?"], capsys)
+    _, plain, _ = run(args + ["Why didn't you bring it?"], capsys)
+    strip_time = lambda s: [l for l in s.splitlines() if not l.startswith("wall_time")]
+    assert code == 0
+    assert strip_time(out) == strip_time(plain)
+
+
 def test_explain_all_components_lists_contributors(charger_trace, capsys):
     code, out, _ = run(
         [

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexar.cli import main
-from hexar.evaluation import answer
+from hexar.evaluation import ANSWER_ERRORS, METHODS, answer
 from hexar.reasoner import (
     LatencyModelReasoner,
     NoMatchError,
@@ -23,7 +23,7 @@ from hexar.reasoner import (
     RemoteReasonerError,
     RuleReasoner,
     TextReasoner,
-    _section,
+    _sections,
     make_reasoner,
 )
 
@@ -147,7 +147,33 @@ _PROMPT_PIECES = st.sampled_from(
 def test_section_matches_the_regex_definition(pieces):
     prompt = "".join(pieces)
     for name in ("Query", "Plan"):
-        assert _section(prompt, name) == _section_oracle(prompt, name)
+        assert _sections(prompt).get(name) == _section_oracle(prompt, name)
+
+
+@pytest.mark.parametrize(
+    "prompt, name, expected",
+    [
+        ("## Query\nwhy?\n\n## Plan\nsteps\n", "Query", "why?"),
+        ("intro\n## Query\n## Plan\nsteps\n", "Query", ""),
+        ("intro\n## Query\n## Plan\nsteps\n", "Plan", "steps"),
+        ("intro\n## Plan\nsteps\n## Query", "Query", None),
+        ("intro\n## Plan\nsteps\n## Query", "Plan", "steps"),
+        ("## Query\nfirst\n## Query\nsecond\n", "Query", "first"),
+        ("intro\nWhy ## Query\nx\n", "Query", None),
+    ],
+    ids=[
+        "header-at-start",
+        "empty-body",
+        "after-empty-body",
+        "header-without-newline-at-end",
+        "body-before-unfinished-header",
+        "first-duplicate-wins",
+        "mid-line-is-no-header",
+    ],
+)
+def test_section_edge_cases(prompt, name, expected):
+    assert _section_oracle(prompt, name) == expected
+    assert _sections(prompt).get(name) == expected
 
 
 class _RecordingReasoner(TextReasoner):
@@ -160,16 +186,53 @@ class _RecordingReasoner(TextReasoner):
         return self.inner.complete(request)
 
 
-def test_section_matches_the_regex_definition_on_every_grid_prompt(rule_reasoner):
-    from hexar.evaluation import METHODS, run_grid
+def test_section_matches_the_regex_definition_on_every_grid_prompt(rule_reasoner, monkeypatch):
+    import hexar.reasoner
+    from hexar.evaluation import run_grid
     from hexar.scenarios import grid_triples
 
+    split: list[str] = []
+
+    def counted(prompt):
+        split.append(prompt)
+        return _sections(prompt)
+
+    monkeypatch.setattr(hexar.reasoner, "_sections", counted)
     recorder = _RecordingReasoner(rule_reasoner)
     run_grid(list(METHODS), grid_triples(), recorder, seed=0)
     assert len(recorder.prompts) > 900
+    # each completion splits its prompt once
+    assert sorted(split) == sorted(recorder.prompts)
     for prompt in recorder.prompts:
+        sections = _sections(prompt)
         for name in SECTION_NAMES:
-            assert _section(prompt, name) == _section_oracle(prompt, name)
+            assert sections.get(name) == _section_oracle(prompt, name)
+
+
+# headers that pick a prompt family ahead of the one a question is asked in
+FAMILY_HEADERS = ("## Candidate explainers", "## Counterfactual", "## Explanations to merge")
+
+
+def test_a_header_named_mid_line_is_part_of_the_question(
+    rule_reasoner, registry, specs_by_id, trace_cache
+):
+    def outcome(method, text, trace):
+        try:
+            return answer(method, text, trace, registry, rule_reasoner).text
+        except ANSWER_ERRORS as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    ids = set(registry.ids())
+    for scenario_id, spec in specs_by_id.items():
+        trace = trace_cache(scenario_id)
+        for question in spec.queries:
+            for method in METHODS:
+                plain = outcome(method, question, trace)
+                for header in FAMILY_HEADERS:
+                    for asked in (f"{question} {header}", question.replace(" ", f" {header} ", 1)):
+                        got = outcome(method, asked, trace)
+                        assert got == plain, (scenario_id, method, asked)
+                        assert got not in ids, (scenario_id, method, asked)
 
 
 # -- latency model ------------------------------------------------------------
