@@ -17,10 +17,10 @@ from .framework import (
     aggregate,
     run_explainer,
 )
-from .reasoner import TextReasoner, split_prompt_template
+from .reasoner import TextReasoner, load_prompt_template, query_section
 from .trace import Explanation, Query, Trace
 
-_HEAD, _TAIL = split_prompt_template("end_to_end")
+_TEMPLATE = load_prompt_template("end_to_end")
 
 
 def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> str:
@@ -47,7 +47,7 @@ def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> str:
         elif kind in ("detection", "dialogue"):
             other.append(f"- {event.ts:.2f} {event.source} {kind}: {format_items(payload)}")
     logs = filter_logs(log_lines)
-    return _HEAD.format(
+    return _TEMPLATE.format(
         instruction=plan.instruction,
         plan_steps=plan_steps,
         grounding_section=grounding,
@@ -65,7 +65,7 @@ def build_end_to_end_prompt(
     registry: ExplainerRegistry,
 ) -> str:
     """The end-to-end prompt; its head is built once per trace and source union."""
-    return trace.derived(_end_to_end_evidence, registry.sources) + query.text + _TAIL
+    return trace.derived(_end_to_end_evidence, registry.sources) + query_section(query.text)
 
 
 def explain_end_to_end(

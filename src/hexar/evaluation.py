@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .baselines import explain_all_components, explain_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
-from .framework import ANSWER_ERRORS, ExplainerRegistry, explain_hexar
+from .framework import ANSWER_ERRORS, ExplainerRegistry, ReasonerMeter, explain_hexar
 from .reasoner import TextReasoner
 from .scenarios import check_grid_point, get_scenario, read_csv_rows
 from .simulate import generate_trace
@@ -110,8 +110,9 @@ def run_grid(
 
     One trace per (scenario, variant) is generated and shared by all
     methods and queries. A per-sample failure the design expects (one of
-    ``ANSWER_ERRORS``) yields a flagged record with an empty explanation
-    instead of aborting the run; any other exception is a bug and propagates.
+    ``ANSWER_ERRORS``) yields a flagged record with an empty explanation,
+    billed with the reasoner calls it made, instead of aborting the run; any
+    other exception is a bug and propagates.
     """
     registry = registry or build_default_registry()
     for method in methods:
@@ -138,10 +139,12 @@ def run_grid(
         scenario_id, variant, query_index, method = item
         spec = get_scenario(scenario_id)
         trace = traces[(scenario_id, variant)]
+        meter = ReasonerMeter(reasoner)  # bills a failed answer's calls too
         try:
-            explanation = answer(method, spec.queries[query_index - 1], trace, registry, reasoner)
+            explanation = answer(method, spec.queries[query_index - 1], trace, registry, meter)
         except ANSWER_ERRORS as exc:
-            text, produced_by, calls, wall_time = "", f"error:{type(exc).__name__}", 0, 0.0
+            text, produced_by = "", f"error:{type(exc).__name__}"
+            calls, wall_time = meter.calls, 0.0
             selected_ok = False
         else:
             text, produced_by = explanation.text, explanation.produced_by

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
-from importlib import resources
 
 from ..framework import ExplainerError
-from ..reasoner import TextReasoner, split_prompt_template
+from ..reasoner import TextReasoner, _load_json, load_prompt_template, query_section
 from ..trace import ContextVector, EventView, Query
 
 _RELEVANT_PARAMS = (
@@ -31,7 +29,7 @@ DISCARD_PHRASES = (
 )
 _DISCARD = re.compile("|".join(map(re.escape, DISCARD_PHRASES)))
 
-_HEAD, _TAIL = split_prompt_template("navigation")
+_TEMPLATE = load_prompt_template("navigation")
 
 # The context budget, in log lines, of both the navigation prompt and the
 # end-to-end prompt: a longer filtered log keeps its first and last lines.
@@ -77,12 +75,9 @@ def filter_logs(lines: list[str]) -> list[str]:
 @functools.lru_cache(maxsize=None)
 def situation_catalogue() -> str:
     """Known navigation situations, rendered for the prompt."""
-    entries = json.loads(
-        resources.files("hexar.data").joinpath("situations.json").read_text("utf-8")
-    )
     lines = [
         f"- if the evidence mentions \"{e['marker']}\": {e['sentence']}"
-        for e in entries
+        for e in _load_json("situations.json")
         if e["scope"] == "navigation"
     ]
     return "\n".join(lines)
@@ -101,7 +96,7 @@ def _navigation_evidence(events: EventView) -> str:
                 params.append(f"- {e.payload['name']} = {e.payload['value']}")
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
-    return _HEAD.format(
+    return _TEMPLATE.format(
         logs="\n".join(filter_logs(log_lines)) or "(no navigation logs)",
         params="\n".join(params) or "(none)",
         situation_catalogue=situation_catalogue(),
@@ -110,7 +105,7 @@ def _navigation_evidence(events: EventView) -> str:
 
 def build_navigation_prompt(query: Query, events: EventView) -> str:
     """The navigation prompt; its head is built once per event view."""
-    return events.derived(_navigation_evidence) + query.text + _TAIL
+    return events.derived(_navigation_evidence) + query_section(query.text)
 
 
 def explain_navigation(

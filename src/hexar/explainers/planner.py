@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ..reasoner import TextReasoner, split_prompt_template
+from ..reasoner import TextReasoner, load_prompt_template, query_section
 from ..trace import ContextVector, EventView, Query, TaskPlan
 
-_HEAD, _TAIL = split_prompt_template("planner")
+_TEMPLATE = load_prompt_template("planner")
 
 
 def format_items(items: dict) -> str:
@@ -28,7 +28,7 @@ def _planner_evidence(context: ContextVector) -> str:
     plan = context.plan
     plan_steps, grounding = format_plan(plan)
     statuses = "\n".join(f"- {skill}: {status}" for skill, status in context.skills) or "(none)"
-    return _HEAD.format(
+    return _TEMPLATE.format(
         instruction=plan.instruction,
         plan_steps=plan_steps,
         grounding_section=grounding,
@@ -38,7 +38,7 @@ def _planner_evidence(context: ContextVector) -> str:
 
 def build_planner_prompt(query: Query, context: ContextVector) -> str:
     """The planner prompt; its head is built once per context."""
-    return context.derived(_planner_evidence) + query.text + _TAIL
+    return context.derived(_planner_evidence) + query_section(query.text)
 
 
 def explain_planner(

@@ -22,7 +22,7 @@ from .reasoner import (
     ReasonerResponse,
     TextReasoner,
     load_prompt_template,
-    split_prompt_template,
+    query_section,
 )
 from .trace import ContextVector, EventView, Explanation, Query, Trace, TraceError
 
@@ -103,13 +103,14 @@ class ComponentExplainer:
             raise ValueError(f"explainer {self.id!r} must subscribe to at least one source")
 
 
-_CLASSIFIER_HEAD, _CLASSIFIER_TAIL = split_prompt_template("classifier")
+_CLASSIFIER = load_prompt_template("classifier")
+_AGGREGATION = load_prompt_template("aggregation")
 
 
 def _classifier_head(explainers: Iterable[ComponentExplainer]) -> str:
     """The classifier prompt up to its query: one candidate line per explainer."""
     candidates = "\n".join(f"- {e.id}: {e.capability}" for e in explainers)
-    return _CLASSIFIER_HEAD.format(candidates=candidates)
+    return _CLASSIFIER.format(candidates=candidates)
 
 
 class ExplainerRegistry:
@@ -158,7 +159,7 @@ class SelectorDecision:
 
 def build_classifier_prompt(query: Query, registry: ExplainerRegistry) -> str:
     """The classifier prompt; its head is built by ``register``."""
-    return registry.classifier_head + query.text + _CLASSIFIER_TAIL
+    return registry.classifier_head + query_section(query.text)
 
 
 def select(
@@ -209,7 +210,7 @@ def run_explainer(
 
 def build_aggregation_prompt(texts: list[str], query: Query) -> str:
     listed = "\n".join(f"- {text}" for text in texts)
-    return load_prompt_template("aggregation").format(query=query.text, explanations=listed)
+    return _AGGREGATION.format(query_section=query_section(query.text), explanations=listed)
 
 
 def aggregate(texts: list[str], query: Query, reasoner: TextReasoner) -> str:

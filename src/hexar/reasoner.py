@@ -10,11 +10,9 @@ comparisons are deterministic.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
-import string
 import urllib.parse
 from dataclasses import dataclass
 from importlib import resources
@@ -73,39 +71,19 @@ def _load_json(name: str):
     return json.loads(resources.files("hexar.data").joinpath(name).read_text("utf-8"))
 
 
-@functools.lru_cache(maxsize=None)
 def load_prompt_template(name: str) -> str:
     return resources.files("hexar.data").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
 
-def split_prompt_template(name: str) -> tuple[str, str]:
-    """The template ``name`` cut at its one ``{query}`` field.
+def query_section(question: str) -> str:
+    """The ``## Query`` section that carries the user's question into a prompt.
 
-    Returns the head, still a template to format with the other fields, and
-    the literal tail, so that ``head.format(**fields) + query + tail`` equals
-    ``template.format(query=query, **fields)`` for any query text. A template
-    without a plain ``{query}``, with two, or with a field after it is refused.
+    A question line that begins with ``## `` gets one leading space, so the
+    question cannot open a section of its own (see :func:`_sections`).
     """
-    head: list[str] = []
-    tail: list[str] = []
-    seen = False
-    for literal, field, spec, conversion in string.Formatter().parse(load_prompt_template(name)):
-        if seen:
-            if field is not None:
-                raise ValueError(f"prompt template {name!r}: field {{{field}}} follows {{query}}")
-            tail.append(literal)
-            continue
-        head.append(literal.replace("{", "{{").replace("}", "}}"))
-        if field == "query":
-            if spec or conversion:
-                raise ValueError(f"prompt template {name!r}: {{query}} must be plain")
-            seen = True
-        elif field is not None:
-            conversion = f"!{conversion}" if conversion else ""
-            head.append(f"{{{field}{conversion}:{spec}}}")
-    if not seen:
-        raise ValueError(f"prompt template {name!r} has no {{query}} field")
-    return "".join(head), "".join(tail)
+    if "## " in question:
+        question = ("\n" + question).replace("\n## ", "\n ## ")[1:]
+    return f"## Query\n{question}\n"
 
 
 def _sections(prompt: str) -> dict[str, str]:
@@ -141,9 +119,9 @@ class RuleReasoner(TextReasoner):
 
     Each prompt is split into sections once (:func:`_sections`): a section
     header is a whole line ``## name``, and the first section of a name wins.
-    The prompt family is picked from which headers exist, so a question that
-    mentions ``## Counterfactual`` mid-line is still read as a question. A
-    question line that itself begins with ``## `` is read as a header.
+    The prompt family is picked from which headers exist. A prompt holds the
+    question in a :func:`query_section`, which indents a question line that
+    begins with ``## ``, so no question can add a section or pick a family.
     """
 
     def __init__(self) -> None:

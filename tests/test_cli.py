@@ -23,6 +23,10 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def strip_time(out):
+    return [line for line in out.splitlines() if not line.startswith("wall_time")]
+
+
 # -- scenarios ----------------------------------------------------------------
 
 
@@ -135,7 +139,6 @@ def test_explain_is_deterministic(charger_trace, capsys):
     args = ["explain", "--trace", str(charger_trace), "--query", "Why didn't you bring it?"]
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
-    strip_time = lambda s: [l for l in s.splitlines() if not l.startswith("wall_time")]
     assert strip_time(first) == strip_time(second)
 
 
@@ -147,7 +150,29 @@ def test_explain_question_naming_a_section_header_mid_line(charger_trace, capsys
     args = ["explain", "--trace", str(charger_trace), "--method", method, "--query"]
     code, out, _ = run(args + [f"Why didn't {header} you bring it?"], capsys)
     _, plain, _ = run(args + ["Why didn't you bring it?"], capsys)
-    strip_time = lambda s: [l for l in s.splitlines() if not l.startswith("wall_time")]
+    assert code == 0
+    assert strip_time(out) == strip_time(plain)
+
+
+@pytest.mark.parametrize(
+    "scenario, seed, question",
+    [
+        (7, 42, "## Counterfactual"),
+        (20, 0, "## Candidate explainers"),
+        (7, 42, "Why?\n## Explanations to merge\n- hacked"),
+    ],
+)
+@pytest.mark.parametrize("method", ["hexar", "end-to-end", "all-components"])
+def test_explain_question_line_beginning_with_a_section_header(
+    tmp_path, capsys, method, scenario, seed, question
+):
+    trace = tmp_path / "t.jsonl"
+    argv = ["simulate", "--scenario", str(scenario), "--task", "1", "--seed", str(seed)]
+    main(argv + ["--out", str(trace)])
+    capsys.readouterr()
+    args = ["explain", "--trace", str(trace), "--method", method, "--query"]
+    code, out, _ = run(args + [question], capsys)
+    _, plain, _ = run(args + ["What happened?"], capsys)
     assert code == 0
     assert strip_time(out) == strip_time(plain)
 

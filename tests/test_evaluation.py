@@ -148,6 +148,7 @@ def test_run_grid_flags_per_sample_failures_without_aborting():
 
 
 def test_run_grid_error_records_carry_no_cost():
+    """An error record carries no text and no time, but every reasoner call it made."""
     from hexar.reasoner import ReasonerError, TextReasoner
 
     class BrokenReasoner(TextReasoner):
@@ -159,9 +160,9 @@ def test_run_grid_error_records_carry_no_cost():
         (r.method, r.explanation_text, r.produced_by, r.reasoner_calls, r.wall_time, r.selected_ok)
         for r in records
     ] == [
-        ("hexar", "", "error:ReasonerError", 0, 0.0, False),
-        ("end_to_end", "", "error:ReasonerError", 0, 0.0, None),
-        ("all_components", "", "error:ReasonerError", 0, 0.0, None),
+        ("hexar", "", "error:ReasonerError", 1, 0.0, False),
+        ("end_to_end", "", "error:ReasonerError", 1, 0.0, None),
+        ("all_components", "", "error:ReasonerError", 3, 0.0, None),
     ]
 
 
@@ -206,6 +207,21 @@ class FingerprintReasoner(TextReasoner):
         response = self.inner.complete(request)
         self.digest.update(repr((response.text, response.latency)).encode())
         return response
+
+
+@pytest.mark.parametrize("seed", range(5, 15))
+def test_seed_sweep_holds_the_grid_accuracy(seed, rule_reasoner, registry):
+    """Seeds 5-14 keep seed 0's selection and accuracy; the digests pin seeds 0-4."""
+    records = run_grid(list(METHODS), grid_triples(), rule_reasoner, seed, registry)
+    method_of = {r.sample_id: r.method for r in records}
+    root_cause = dict.fromkeys(METHODS, 0)
+    incorrect = dict.fromkeys(METHODS, 0)
+    for row in majority_vote(auto_annotate(records))[0]:
+        root_cause[method_of[row.sample_id]] += row.root_cause_identified
+        incorrect[method_of[row.sample_id]] += row.incorrect_facts_present
+    assert sum(r.selected_ok is True for r in records) == 180
+    assert root_cause == {"hexar": 180, "end_to_end": 171, "all_components": 180}
+    assert incorrect == dict.fromkeys(METHODS, 0)
 
 
 def test_seed_0_grid_output_fingerprint_is_pinned():

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexar import evaluation, framework, reasoner
+from hexar import evaluation, framework
 from hexar.baselines import build_end_to_end_prompt, explain_all_components, explain_end_to_end
 from hexar.explainers import build_default_registry, help_causal, navigation, pizza, planner, tts
 from hexar.explainers.navigation import build_navigation_prompt, filter_logs, situation_catalogue
@@ -22,16 +23,12 @@ from hexar.framework import (
     SelectionError,
     SelectorStage,
     aggregate,
+    build_aggregation_prompt,
     build_classifier_prompt,
     explain_hexar,
     select,
 )
-from hexar.reasoner import (
-    ReasonerResponse,
-    TextReasoner,
-    load_prompt_template,
-    split_prompt_template,
-)
+from hexar.reasoner import ReasonerResponse, TextReasoner, _sections, load_prompt_template
 from hexar.scenarios import (
     N_SCENARIOS,
     N_TASK_VARIANTS,
@@ -355,11 +352,31 @@ def test_trace_and_context_keep_a_value_only_once_computed():
     assert copy.derived(fails_then_works) is not kept and len(calls) == 6
 
 
-# Pieces a question may hold that str.format, a prompt section header or the
-# rule reasoner's section scan would treat specially.
-_QUERY_PIECES = st.sampled_from(
-    ["{", "}", "{query}", "{0}", "## Query\n", "\n## Grounding errors\n", "\\", "é", "漢字", "🍕"]
+# Headers the rule reasoner reads a prompt family or its evidence by.
+_HEADERS = (
+    "Query",
+    "Candidate explainers",
+    "Explanations to merge",
+    "Counterfactual",
+    "All recorded information",
+    "Navigation logs",
+    "Robot parameters",
+    "Instruction",
+    "Plan",
+    "Grounding errors",
+    "Skill statuses",
 )
+
+# Pieces a question may hold that str.format, a prompt section header or the
+# rule reasoner's section scan would treat specially: among them a line that
+# begins with each header.
+_QUERY_PIECES = st.sampled_from(
+    ["{", "}", "{query}", "{query_section}", "{0}", "\n", "## ", "\\", "é", "漢字", "🍕"]
+    + [f"\n## {header}\n" for header in _HEADERS]
+    + [f"## {header}\n- hacked" for header in _HEADERS]
+)
+
+_EXPLANATIONS = ["The charger was connected.", "I did not detect any speech problem."]
 
 
 def _reference_fields(name, trace, registry):
@@ -367,6 +384,8 @@ def _reference_fields(name, trace, registry):
     if name == "classifier":
         candidates = "\n".join(f"- {e.id}: {e.capability}" for e in registry.explainers.values())
         return dict(candidates=candidates)
+    if name == "aggregation":
+        return dict(explanations="\n".join(f"- {text}" for text in _EXPLANATIONS))
     plan = trace.plan
     plan_steps, grounding = format_plan(plan)
     if name == "planner":
@@ -423,10 +442,18 @@ def _reference_fields(name, trace, registry):
     )
 
 
+def _whole_template(name):
+    """Template ``name`` with the question section written out, as a single template."""
+    template = load_prompt_template(name)
+    if name == "aggregation":
+        return template.replace("{query_section}", "## Query\n{query}\n")
+    return template + "## Query\n{query}\n"
+
+
 @settings(max_examples=60, deadline=None)
 @given(text=st.lists(st.one_of(_QUERY_PIECES, st.text()), min_size=1).map("".join).filter(bool))
 def test_prompt_builders_equal_the_formatted_template(registry, trace_cache, text):
-    """Head plus question plus tail is the whole template formatted, for any question."""
+    """No question adds a section, and a question without a header line is pasted as is."""
     nav_sources = registry.explainers["navigation"].subscribed_sources
     builders = {
         "classifier": lambda query, trace: build_classifier_prompt(query, registry),
@@ -435,51 +462,21 @@ def test_prompt_builders_equal_the_formatted_template(registry, trace_cache, tex
             query, trace.by_source(nav_sources)
         ),
         "end_to_end": lambda query, trace: build_end_to_end_prompt(query, trace, registry),
+        "aggregation": lambda query, trace: build_aggregation_prompt(_EXPLANATIONS, query),
     }
+    # a line that begins with "## " is indented by one space; other text is kept
+    asked = re.sub("^## ", " ## ", text, flags=re.MULTILINE)
     # the first scenario of each module, seed 0
     first = {s.relevant_module: s.scenario_id for s in reversed(list_scenarios())}
     for scenario_id in first.values():
         trace = trace_cache(scenario_id)
         query = _query(trace, text)
         for name, build in builders.items():
+            prompt = build(query, trace)
+            plain = build(_query(trace), trace)
+            assert list(_sections(prompt)) == list(_sections(plain)), name
             fields = _reference_fields(name, trace, registry)
-            assert build(query, trace) == load_prompt_template(name).format(query=text, **fields)
-
-
-@pytest.mark.parametrize(
-    "template",
-    [
-        "a {{b}} {c}\n\n## Query\n{query}\n",
-        "{c:>6}{{query}} {query} {{d}}\n",
-        "{query}",
-        "{c!r} then {query}}}",
-    ],
-)
-def test_split_template_formats_like_the_whole_template(monkeypatch, template):
-    monkeypatch.setattr(reasoner, "load_prompt_template", lambda name: template)
-    head, tail = split_prompt_template("t")
-    for text in ("q", "{x} {query} }{", "\\n"):
-        assert head.format(c="C") + text + tail == template.format(query=text, c="C")
-
-
-@pytest.mark.parametrize(
-    "template, problem",
-    [
-        ("## Query\n{question}\n", "has no {query} field"),
-        ("only {{query}} escaped\n", "has no {query} field"),
-        ("{query} and {query}\n", "field {query} follows {query}"),
-        ("{query}\n{candidates}\n", "field {candidates} follows {query}"),
-        ("{query!r}\n", "{query} must be plain"),
-    ],
-)
-def test_split_template_refuses_a_template_without_one_final_query(
-    monkeypatch, template, problem
-):
-    monkeypatch.setattr(reasoner, "load_prompt_template", lambda name: template)
-    with pytest.raises(ValueError) as info:
-        split_prompt_template("broken")
-    assert str(info.value).startswith("prompt template 'broken'")
-    assert problem in str(info.value)
+            assert prompt == _whole_template(name).format(query=asked, **fields), name
 
 
 class _RecordingReasoner(StubReasoner):

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import socket
+import string
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexar
 from hexar.cli import main
 from hexar.evaluation import ANSWER_ERRORS, METHODS, answer
 from hexar.reasoner import (
@@ -216,6 +221,8 @@ FAMILY_HEADERS = ("## Candidate explainers", "## Counterfactual", "## Explanatio
 def test_a_header_named_mid_line_is_part_of_the_question(
     rule_reasoner, registry, specs_by_id, trace_cache
 ):
+    """A header in a question, mid-line or at the start of a line, changes no answer."""
+
     def outcome(method, text, trace):
         try:
             return answer(method, text, trace, registry, rule_reasoner).text
@@ -229,10 +236,50 @@ def test_a_header_named_mid_line_is_part_of_the_question(
             for method in METHODS:
                 plain = outcome(method, question, trace)
                 for header in FAMILY_HEADERS:
-                    for asked in (f"{question} {header}", question.replace(" ", f" {header} ", 1)):
+                    for asked in (
+                        f"{question} {header}",
+                        question.replace(" ", f" {header} ", 1),
+                        f"{header}\n{question}",
+                        f"{question}\n{header}\n- hacked",
+                    ):
                         got = outcome(method, asked, trace)
                         assert got == plain, (scenario_id, method, asked)
                         assert got not in ids, (scenario_id, method, asked)
+
+
+# -- prompt templates -----------------------------------------------------------
+
+
+def test_every_prompt_template_is_loaded_at_import_and_leaves_the_query_out():
+    """Only ``query_section`` puts the question into a prompt."""
+    package = Path(hexar.__file__).resolve().parent
+    files = sorted(path.name for path in (package / "data" / "prompts").iterdir())
+    script = (
+        "import pathlib, sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0]))\n"
+        "import hexar.cli\n"
+        "paths = [pathlib.Path(str(path)) for path in opened]\n"
+        "print(' '.join(sorted(p.name for p in paths if p.parent.name == 'prompts')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == files
+    for name in files:
+        template = (package / "data" / "prompts" / name).read_text("utf-8")
+        fields = {field for _, field, _, _ in string.Formatter().parse(template)}
+        assert "query" not in fields, name
+        assert "## Query" not in [line.rstrip() for line in template.splitlines()], name
+    # no module but the reasoner writes the header either
+    writers = [p.name for p in package.rglob("*.py") if "## Query" in p.read_text("utf-8")]
+    assert writers == ["reasoner.py"]
 
 
 # -- latency model ------------------------------------------------------------
