@@ -422,6 +422,21 @@ def test_results_csv_round_trip(tmp_path, hexar_grid_records):
         assert loaded.wall_time == pytest.approx(original.wall_time, abs=1e-6)
 
 
+def test_seed_0_results_csv_bytes_are_pinned(tmp_path, rule_reasoner_module):
+    """The whole seed-0 results CSV, with the measured ``wall_time`` zeroed.
+
+    A change meant to keep the file byte-identical keeps this digest.
+    """
+    records = run_grid(list(METHODS), grid_triples(), rule_reasoner_module, seed=0)
+    path = tmp_path / "results.csv"
+    write_results_csv([replace(r, wall_time=0.0) for r in records], path)
+    data = path.read_bytes()
+    assert len(data) == 173560
+    assert hashlib.sha256(data).hexdigest() == (
+        "0a6093c6af5bd99c0c5c24af6add7e74e3800037ed545da375ce0862244218b1"
+    )
+
+
 def test_results_csv_rejects_wrong_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
