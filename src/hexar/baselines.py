@@ -17,7 +17,7 @@ from .framework import (
     aggregate,
     run_explainer,
 )
-from .reasoner import TextReasoner, load_prompt_template, query_section
+from .reasoner import TextReasoner, indent_headers, load_prompt_template, query_section
 from .trace import Explanation, Query, Trace
 
 _TEMPLATE = load_prompt_template("end_to_end")
@@ -48,13 +48,13 @@ def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> str:
             other.append(f"- {event.ts:.2f} {event.source} {kind}: {format_items(payload)}")
     logs = filter_logs(log_lines)
     return _TEMPLATE.format(
-        instruction=plan.instruction,
+        instruction=indent_headers(plan.instruction),
         plan_steps=plan_steps,
         grounding_section=grounding,
-        skill_statuses="\n".join(statuses) or "(none)",
-        logs="\n".join(logs) or "(none)",
-        params="\n".join(params) or "(none)",
-        other_events="\n".join(other) or "(none)",
+        skill_statuses=indent_headers("\n".join(statuses)) or "(none)",
+        logs=indent_headers("\n".join(logs)) or "(none)",
+        params=indent_headers("\n".join(params)) or "(none)",
+        other_events=indent_headers("\n".join(other)) or "(none)",
         situation_catalogue=situation_catalogue(),
     )
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .baselines import explain_all_components, explain_end_to_end
@@ -21,7 +21,18 @@ METHODS = ("hexar", "end_to_end", "all_components")
 FAILURE_REPLY = "I do not have enough information to answer this question."
 
 
-@dataclass(frozen=True)
+# The three row types below are built hundreds of times per grid, so each has a
+# hand-written ``__init__`` (as ``trace.Event`` has): it sets the frozen fields
+# through the slot descriptors' setters, one C call each, where the generated
+# ``__init__`` goes through ``object.__setattr__`` by name.
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The setter of each field's slot, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class EvalRecord:
     sample_id: str
     scenario_id: int
@@ -34,27 +45,99 @@ class EvalRecord:
     wall_time: float
     selected_ok: bool | None  # hexar only
 
+    def __init__(
+        self,
+        sample_id: str,
+        scenario_id: int,
+        task_variant: int,
+        query_index: int,
+        method: str,
+        explanation_text: str,
+        produced_by: str,
+        reasoner_calls: int,
+        wall_time: float,
+        selected_ok: bool | None,
+    ) -> None:
+        _set_sample_id(self, sample_id)
+        _set_scenario_id(self, scenario_id)
+        _set_task_variant(self, task_variant)
+        _set_query_index(self, query_index)
+        _set_method(self, method)
+        _set_explanation_text(self, explanation_text)
+        _set_produced_by(self, produced_by)
+        _set_reasoner_calls(self, reasoner_calls)
+        _set_wall_time(self, wall_time)
+        _set_selected_ok(self, selected_ok)
 
-@dataclass(frozen=True)
+
+(
+    _set_sample_id,
+    _set_scenario_id,
+    _set_task_variant,
+    _set_query_index,
+    _set_method,
+    _set_explanation_text,
+    _set_produced_by,
+    _set_reasoner_calls,
+    _set_wall_time,
+    _set_selected_ok,
+) = _slot_setters(EvalRecord)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class AnnotationRow:
     sample_id: str
     annotator_id: int
     root_cause: int
     incorrect_facts: int
 
-    def __post_init__(self) -> None:
-        if self.annotator_id not in (1, 2, 3):
-            raise ValueError(f"annotator_id must be 1..3, got {self.annotator_id}")
-        if self.root_cause not in (0, 1) or self.incorrect_facts not in (0, 1):
+    def __init__(
+        self, sample_id: str, annotator_id: int, root_cause: int, incorrect_facts: int
+    ) -> None:
+        if annotator_id not in (1, 2, 3):
+            raise ValueError(f"annotator_id must be 1..3, got {annotator_id}")
+        if root_cause not in (0, 1) or incorrect_facts not in (0, 1):
             raise ValueError("annotation labels must be binary")
+        _set_annotated_sample(self, sample_id)
+        _set_annotator_id(self, annotator_id)
+        _set_root_cause(self, root_cause)
+        _set_incorrect_facts(self, incorrect_facts)
 
 
-@dataclass(frozen=True)
+(
+    _set_annotated_sample,
+    _set_annotator_id,
+    _set_root_cause,
+    _set_incorrect_facts,
+) = _slot_setters(AnnotationRow)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class MetricRow:
     sample_id: str
     root_cause_identified: int
     incorrect_facts_present: int
     explanation_accuracy: int
+
+    def __init__(
+        self,
+        sample_id: str,
+        root_cause_identified: int,
+        incorrect_facts_present: int,
+        explanation_accuracy: int,
+    ) -> None:
+        _set_metric_sample(self, sample_id)
+        _set_root_cause_identified(self, root_cause_identified)
+        _set_incorrect_facts_present(self, incorrect_facts_present)
+        _set_explanation_accuracy(self, explanation_accuracy)
+
+
+(
+    _set_metric_sample,
+    _set_root_cause_identified,
+    _set_incorrect_facts_present,
+    _set_explanation_accuracy,
+) = _slot_setters(MetricRow)
 
 
 @dataclass(frozen=True)
@@ -153,16 +236,16 @@ def run_grid(
                 spec.ground_truth.relevant_module
             )
         return EvalRecord(
-            sample_id=_sample_id(scenario_id, variant, query_index, method),
-            scenario_id=scenario_id,
-            task_variant=variant,
-            query_index=query_index,
-            method=method,
-            explanation_text=text,
-            produced_by=produced_by,
-            reasoner_calls=calls,
-            wall_time=wall_time,
-            selected_ok=selected_ok if method == "hexar" else None,
+            _sample_id(scenario_id, variant, query_index, method),
+            scenario_id,
+            variant,
+            query_index,
+            method,
+            text,
+            produced_by,
+            calls,
+            wall_time,
+            selected_ok if method == "hexar" else None,
         )
 
     if jobs > 1:
@@ -184,14 +267,32 @@ def auto_annotate(records: list[EvalRecord]) -> list[AnnotationRow]:
     the explanation; incorrect facts are flagged when any phrase from the
     scenario's contradicted-facts list occurs.
     """
+    # (root-cause phrase, contradicted-fact phrases) per scenario, lower-cased
+    phrases: dict[int, tuple[str, tuple[str, ...]]] = {}
     rows: list[AnnotationRow] = []
     for record in records:
-        spec = get_scenario(record.scenario_id)
+        scenario_id = record.scenario_id
+        if scenario_id not in phrases:
+            spec = get_scenario(scenario_id)
+            phrases[scenario_id] = (
+                spec.ground_truth.root_cause.lower(),
+                tuple(fact.lower() for fact in spec.contradicted_facts),
+            )
         text = record.explanation_text.lower()
-        rci = int(bool(text) and spec.ground_truth.root_cause.lower() in text)
-        bad = int(bool(text) and any(fact.lower() in text for fact in spec.contradicted_facts))
-        for annotator in (1, 2, 3):
-            rows.append(AnnotationRow(record.sample_id, annotator, rci, bad))
+        rci = bad = 0
+        if text:
+            root_cause, contradicted = phrases[scenario_id]
+            rci = int(root_cause in text)
+            for fact in contradicted:
+                if fact in text:
+                    bad = 1
+                    break
+        sample_id = record.sample_id
+        rows += (
+            AnnotationRow(sample_id, 1, rci, bad),
+            AnnotationRow(sample_id, 2, rci, bad),
+            AnnotationRow(sample_id, 3, rci, bad),
+        )
     return rows
 
 
@@ -203,29 +304,27 @@ def majority_vote(rows: list[AnnotationRow]) -> tuple[list[MetricRow], float]:
     """
     by_sample: dict[str, list[AnnotationRow]] = {}
     for row in rows:
-        by_sample.setdefault(row.sample_id, []).append(row)
+        group = by_sample.get(row.sample_id)
+        if group is None:
+            by_sample[row.sample_id] = [row]
+        else:
+            group.append(row)
 
     metrics: list[MetricRow] = []
-    cells = 0
     disagreements = 0
     for sample_id in sorted(by_sample):
         group = by_sample[sample_id]
-        if sorted(r.annotator_id for r in group) != [1, 2, 3]:
+        if len(group) != 3 or {r.annotator_id for r in group} != {1, 2, 3}:
             raise ValueError(f"sample {sample_id} lacks exactly three annotators")
-        rci_votes = [r.root_cause for r in group]
-        bad_votes = [r.incorrect_facts for r in group]
-        rci = int(sum(rci_votes) >= 2)
-        bad = int(sum(bad_votes) >= 2)
-        cells += 2
-        disagreements += int(len(set(rci_votes)) > 1) + int(len(set(bad_votes)) > 1)
-        metrics.append(
-            MetricRow(
-                sample_id=sample_id,
-                root_cause_identified=rci,
-                incorrect_facts_present=bad,
-                explanation_accuracy=int(rci == 1 and bad == 0),
-            )
-        )
+        first, second, third = group
+        # binary labels: a vote sum of 1 or 2 is a split cell
+        rci_votes = first.root_cause + second.root_cause + third.root_cause
+        bad_votes = first.incorrect_facts + second.incorrect_facts + third.incorrect_facts
+        disagreements += (0 < rci_votes < 3) + (0 < bad_votes < 3)
+        rci = int(rci_votes >= 2)
+        bad = int(bad_votes >= 2)
+        metrics.append(MetricRow(sample_id, rci, bad, int(rci == 1 and bad == 0)))
+    cells = 2 * len(metrics)
     return metrics, (disagreements / cells if cells else 0.0)
 
 
@@ -235,39 +334,51 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
         raise ValueError("no evaluation records")
     by_sample = {m.sample_id: m for m in metrics}
 
-    # one pass: (record, metric row) pairs per method, and the grid points
-    groups: dict[str, list[tuple[EvalRecord, MetricRow]]] = {}
+    # one pass: the records and metric rows of each method, and the grid points
+    records_of: dict[str, list[EvalRecord]] = {}
+    rows_of: dict[str, list[MetricRow]] = {}
     grid: dict[tuple[int, int, int], dict[str, MetricRow]] = {}
     for record in records:
         row = by_sample.get(record.sample_id)
         if row is None:
             raise ValueError(f"record {record.sample_id} has no metric row")
-        groups.setdefault(record.method, []).append((record, row))
+        method = record.method
+        if method in rows_of:
+            records_of[method].append(record)
+            rows_of[method].append(row)
+        else:
+            records_of[method] = [record]
+            rows_of[method] = [row]
         key = (record.scenario_id, record.task_variant, record.query_index)
-        grid.setdefault(key, {})[record.method] = row
-    methods = tuple(m for m in METHODS if m in groups)
-    # matched grid points where every method has an annotated record
+        cell = grid.get(key)
+        if cell is None:
+            grid[key] = {method: row}
+        else:
+            cell[method] = row
+    methods = tuple(m for m in METHODS if m in rows_of)
+    # each method's rows at the matched grid points, where every method has one
     matched = [cell for _, cell in sorted(grid.items()) if all(m in cell for m in methods)]
+    matched_rows = [[cell[m] for cell in matched] for m in methods]
 
     means: dict[str, dict[str, float]] = {}
     variances: dict[str, dict[str, float]] = {}
     cochran: dict[str, tuple[float, int, float]] = {}
     pairs: dict[str, list[tuple[str, str, float, float, float]]] = {}
     for metric in METRIC_NAMES:
+        value_of = attrgetter(metric)
         means[metric] = {}
         variances[metric] = {}
         for method in methods:
-            values = [float(getattr(row, metric)) for _, row in groups[method]]
+            values = list(map(float, map(value_of, rows_of[method])))
             means[metric][method] = sum(values) / len(values)
             variances[metric][method] = sample_variance(values)
         if len(methods) >= 2 and matched:
-            matrix = [[getattr(cell[m], metric) for m in methods] for cell in matched]
-            cochran[metric] = cochran_q(matrix)
+            columns = [list(map(value_of, rows)) for rows in matched_rows]
+            cochran[metric] = cochran_q(list(zip(*columns)))
             raw: list[tuple[str, str, float, float]] = []
             for i in range(len(methods)):
                 for j in range(i + 1, len(methods)):
-                    pair_matrix = [[row[i], row[j]] for row in matrix]
-                    stat, p = mcnemar(pair_matrix)
+                    stat, p = mcnemar(list(zip(columns[i], columns[j])))
                     raw.append((methods[i], methods[j], stat, p))
             adjusted = holm_adjust([p for _, _, _, p in raw])
             pairs[metric] = [
@@ -275,17 +386,17 @@ def compute_stats(records: list[EvalRecord], metrics: list[MetricRow]) -> StatsR
             ]
 
     selection_accuracy = None
-    if "hexar" in groups:
-        hexar = groups["hexar"]
-        selection_accuracy = sum(1 for r, _ in hexar if r.selected_ok) / len(hexar)
+    if "hexar" in records_of:
+        hexar = records_of["hexar"]
+        selection_accuracy = sum(1 for r in hexar if r.selected_ok) / len(hexar)
 
     runtime = {}
     call_counts = {}
     for method in methods:
-        group = groups[method]
-        times = [r.wall_time for r, _ in group]
+        group = records_of[method]
+        times = [r.wall_time for r in group]
         runtime[method] = (sum(times) / len(times), sample_variance(times))
-        call_counts[method] = sum(r.reasoner_calls for r, _ in group) / len(group)
+        call_counts[method] = sum(r.reasoner_calls for r in group) / len(group)
 
     return StatsReport(
         methods=methods,
@@ -315,25 +426,35 @@ _RESULTS_COLUMNS = [
 ]
 
 
+def _csv_field(text: str) -> str:
+    r"""A string field as the ``csv`` module's default (``excel``) dialect writes it.
+
+    The field is quoted when it holds ``,``, ``"``, ``\r`` or ``\n``, and each
+    ``"`` in it is doubled; any other field is written as it is.
+    """
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
+
+
 def write_results_csv(records: list[EvalRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RESULTS_COLUMNS)
-        for r in sorted(records, key=lambda r: r.sample_id):
-            writer.writerow(
-                [
-                    r.sample_id,
-                    r.scenario_id,
-                    r.task_variant,
-                    r.query_index,
-                    r.method,
-                    r.produced_by,
-                    "" if r.selected_ok is None else int(r.selected_ok),
-                    r.reasoner_calls,
-                    f"{r.wall_time:.6f}",
-                    r.explanation_text,
-                ]
-            )
+    r"""One row per record in ``sample_id`` order, under a header of ``_RESULTS_COLUMNS``.
+
+    The bytes are those of ``csv.writer`` in the default dialect: UTF-8,
+    ``\r\n`` after every row, string fields quoted by :func:`_csv_field`.
+    """
+    lines = [",".join(_RESULTS_COLUMNS)]
+    for r in sorted(records, key=attrgetter("sample_id")):
+        selected_ok = "" if r.selected_ok is None else int(r.selected_ok)
+        lines.append(
+            f"{_csv_field(r.sample_id)},{r.scenario_id},{r.task_variant},{r.query_index},"
+            f"{_csv_field(r.method)},{_csv_field(r.produced_by)},{selected_ok},"
+            f"{r.reasoner_calls},{r.wall_time:.6f},{_csv_field(r.explanation_text)}"
+        )
+    lines.append("")
+    Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
 
 def read_results_csv(path: str | Path) -> list[EvalRecord]:
@@ -500,36 +621,35 @@ def render_report(
     report_path = out_dir / "report.md"
     report_path.write_text("\n".join(lines), encoding="utf-8")
 
-    stats_path = out_dir / "stats.csv"
-    with open(stats_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_type", "metric", "method_or_pair", "value_1", "value_2", "value_3"])
-        for metric in METRIC_NAMES:
-            for method in stats.methods:
-                writer.writerow(
-                    [
-                        "mean_variance",
-                        metric,
-                        method,
-                        f"{stats.means[metric][method]:.6f}",
-                        f"{stats.variances[metric][method]:.6f}",
-                        "",
-                    ]
-                )
-            if metric in stats.cochran:
-                q, df, p = stats.cochran[metric]
-                writer.writerow(["cochran_q", metric, "", f"{q:.6f}", df, f"{p:.6g}"])
-            for a, b, stat, p, adj in stats.mcnemar_pairs.get(metric, []):
-                writer.writerow(
-                    ["mcnemar", metric, f"{a}|{b}", f"{stat:.6f}", f"{p:.6g}", f"{adj:.6g}"]
-                )
+    rows = [["record_type", "metric", "method_or_pair", "value_1", "value_2", "value_3"]]
+    for metric in METRIC_NAMES:
         for method in stats.methods:
-            mean, var = stats.runtime[method]
-            writer.writerow(
-                ["runtime", "", method, f"{mean:.6f}", f"{var:.6f}", f"{stats.call_counts[method]:.2f}"]
+            rows.append(
+                [
+                    "mean_variance",
+                    metric,
+                    method,
+                    f"{stats.means[metric][method]:.6f}",
+                    f"{stats.variances[metric][method]:.6f}",
+                    "",
+                ]
             )
-        if stats.selection_accuracy is not None:
-            writer.writerow(
-                ["selection_accuracy", "", "hexar", f"{stats.selection_accuracy:.6f}", "", ""]
-            )
+        if metric in stats.cochran:
+            q, df, p = stats.cochran[metric]
+            rows.append(["cochran_q", metric, "", f"{q:.6f}", str(df), f"{p:.6g}"])
+        for a, b, stat, p, adj in stats.mcnemar_pairs.get(metric, []):
+            rows.append(["mcnemar", metric, f"{a}|{b}", f"{stat:.6f}", f"{p:.6g}", f"{adj:.6g}"])
+    for method in stats.methods:
+        mean, var = stats.runtime[method]
+        rows.append(
+            ["runtime", "", method, f"{mean:.6f}", f"{var:.6f}", f"{stats.call_counts[method]:.2f}"]
+        )
+    if stats.selection_accuracy is not None:
+        rows.append(["selection_accuracy", "", "hexar", f"{stats.selection_accuracy:.6f}", "", ""])
+    stats_path = out_dir / "stats.csv"
+    stats_path.write_text(
+        "".join(",".join(map(_csv_field, row)) + "\r\n" for row in rows),
+        encoding="utf-8",
+        newline="",
+    )
     return report_path, stats_path

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable
 
 from ..framework import ExplainerError
-from ..reasoner import ReasonerError, TextReasoner
+from ..reasoner import ReasonerError, TextReasoner, indent_headers
 from ..stats import sample_variance
 from ..trace import ContextVector, Event, EventView, Query
 
@@ -259,7 +259,7 @@ def _naturalise_prompt(sentence: str, v: HelpVariables) -> str:
         "Rephrase the following counterfactual finding about the ask-human-for-help "
         "skill as one natural sentence addressed to the user. Keep every fact; add none.\n"
         "## Counterfactual\n"
-        f"{sentence}\n"
+        f"{indent_headers(sentence)}\n"
         "## Variables\n"
         f"n_humans = {v.n_humans}\n"
         f"min_distance = {'absent' if v.min_distance is None else f'{v.min_distance:.2f}'}\n"

@@ -12,7 +12,13 @@ import itertools
 import re
 
 from ..framework import ExplainerError
-from ..reasoner import TextReasoner, _load_json, load_prompt_template, query_section
+from ..reasoner import (
+    TextReasoner,
+    _load_json,
+    indent_headers,
+    load_prompt_template,
+    query_section,
+)
 from ..trace import ContextVector, EventView, Query
 
 _RELEVANT_PARAMS = (
@@ -97,8 +103,8 @@ def _navigation_evidence(events: EventView) -> str:
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
     return _TEMPLATE.format(
-        logs="\n".join(filter_logs(log_lines)) or "(no navigation logs)",
-        params="\n".join(params) or "(none)",
+        logs=indent_headers("\n".join(filter_logs(log_lines))) or "(no navigation logs)",
+        params=indent_headers("\n".join(params)) or "(none)",
         situation_catalogue=situation_catalogue(),
     )
 

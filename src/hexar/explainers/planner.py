@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..reasoner import TextReasoner, load_prompt_template, query_section
+from ..reasoner import TextReasoner, indent_headers, load_prompt_template, query_section
 from ..trace import ContextVector, EventView, Query, TaskPlan
 
 _TEMPLATE = load_prompt_template("planner")
@@ -19,20 +19,20 @@ def format_plan(plan: TaskPlan) -> tuple[str, str]:
     grounding = ""
     if plan.grounding_errors:
         listed = "\n".join(f"- {err}" for err in plan.grounding_errors)
-        grounding = f"## Grounding errors\n{listed}\n\n"
-    return "\n".join(steps) or "(no steps)", grounding
+        grounding = f"## Grounding errors\n{indent_headers(listed)}\n\n"
+    return indent_headers("\n".join(steps)) or "(no steps)", grounding
 
 
 def _planner_evidence(context: ContextVector) -> str:
     """The planner prompt up to its query: instruction, plan, grounding errors, statuses."""
     plan = context.plan
     plan_steps, grounding = format_plan(plan)
-    statuses = "\n".join(f"- {skill}: {status}" for skill, status in context.skills) or "(none)"
+    statuses = "\n".join(f"- {skill}: {status}" for skill, status in context.skills)
     return _TEMPLATE.format(
-        instruction=plan.instruction,
+        instruction=indent_headers(plan.instruction),
         plan_steps=plan_steps,
         grounding_section=grounding,
-        skill_statuses=statuses,
+        skill_statuses=indent_headers(statuses) or "(none)",
     )
 
 

@@ -21,6 +21,7 @@ from .reasoner import (
     ReasonerRequest,
     ReasonerResponse,
     TextReasoner,
+    indent_headers,
     load_prompt_template,
     query_section,
 )
@@ -209,7 +210,7 @@ def run_explainer(
 
 
 def build_aggregation_prompt(texts: list[str], query: Query) -> str:
-    listed = "\n".join(f"- {text}" for text in texts)
+    listed = indent_headers("\n".join(f"- {text}" for text in texts))
     return _AGGREGATION.format(query_section=query_section(query.text), explanations=listed)
 
 

@@ -75,14 +75,21 @@ def load_prompt_template(name: str) -> str:
     return resources.files("hexar.data").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
 
-def query_section(question: str) -> str:
-    """The ``## Query`` section that carries the user's question into a prompt.
+def indent_headers(text: str) -> str:
+    """``text`` with one space before each line that begins with ``## ``.
 
-    A question line that begins with ``## `` gets one leading space, so the
-    question cannot open a section of its own (see :func:`_sections`).
+    Every question and every trace-derived string goes into a prompt through
+    this, so none of them can open a section of its own (see :func:`_sections`).
     """
+    if "## " in text:
+        return ("\n" + text).replace("\n## ", "\n ## ")[1:]
+    return text
+
+
+def query_section(question: str) -> str:
+    """The ``## Query`` section that carries the user's question into a prompt."""
     if "## " in question:
-        question = ("\n" + question).replace("\n## ", "\n ## ")[1:]
+        question = indent_headers(question)
     return f"## Query\n{question}\n"
 
 
@@ -119,9 +126,10 @@ class RuleReasoner(TextReasoner):
 
     Each prompt is split into sections once (:func:`_sections`): a section
     header is a whole line ``## name``, and the first section of a name wins.
-    The prompt family is picked from which headers exist. A prompt holds the
-    question in a :func:`query_section`, which indents a question line that
-    begins with ``## ``, so no question can add a section or pick a family.
+    The prompt family is picked from which headers exist. The question and
+    every string taken from the trace pass through :func:`indent_headers`,
+    which indents a line that begins with ``## ``, so neither can add a
+    section or pick a family.
     """
 
     def __init__(self) -> None:

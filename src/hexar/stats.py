@@ -63,8 +63,8 @@ def cochran_q(outcomes: Sequence[Sequence[int]]) -> tuple[float, int, float]:
             raise ValueError("ragged outcome matrix")
         _check_binary(row)
 
-    col_totals = [sum(row[j] for row in outcomes) for j in range(k)]
-    row_totals = [sum(row) for row in outcomes]
+    col_totals = [sum(column) for column in zip(*outcomes)]
+    row_totals = list(map(sum, outcomes))
     grand = sum(row_totals)
     df = k - 1
     denom = k * grand - sum(r * r for r in row_totals)
@@ -86,11 +86,14 @@ def mcnemar(pairs: Sequence[Sequence[int]]) -> tuple[float, float]:
     for row in pairs:
         if len(row) != 2:
             raise ValueError("pairs must have exactly two columns")
-        _check_binary(row)
-        if row[0] == 1 and row[1] == 0:
-            b += 1
-        elif row[0] == 0 and row[1] == 1:
-            c += 1
+        first, second = row
+        if first not in (0, 1) or second not in (0, 1):
+            _check_binary(row)  # raises, naming the first non-binary entry
+        if first != second:
+            if first == 1:
+                b += 1
+            else:
+                c += 1
     n_discordant = b + c
     if n_discordant == 0:
         return 0.0, 1.0

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexar.evaluation import (
     METHODS,
     AnnotationRow,
     EvalRecord,
+    MetricRow,
+    _csv_field,
+    _sample_id,
     answer,
     auto_annotate,
     compute_stats,
@@ -209,9 +217,14 @@ class FingerprintReasoner(TextReasoner):
         return response
 
 
-@pytest.mark.parametrize("seed", range(5, 15))
+@pytest.mark.parametrize(
+    "seed", [*range(5, 15), *(pytest.param(seed, marks=pytest.mark.slow) for seed in range(15, 50))]
+)
 def test_seed_sweep_holds_the_grid_accuracy(seed, rule_reasoner, registry):
-    """Seeds 5-14 keep seed 0's selection and accuracy; the digests pin seeds 0-4."""
+    """Seeds 5-49 keep seed 0's selection and accuracy; the digests pin seeds 0-4.
+
+    Seeds 15-49 are marked ``slow``: ``pytest -m slow`` runs them.
+    """
     records = run_grid(list(METHODS), grid_triples(), rule_reasoner, seed, registry)
     method_of = {r.sample_id: r.method for r in records}
     root_cause = dict.fromkeys(METHODS, 0)
@@ -286,9 +299,12 @@ def test_majority_vote_unanimous_zero():
 
 
 def test_majority_vote_requires_three_annotators():
-    rows = [AnnotationRow("a", 1, 1, 0), AnnotationRow("a", 2, 1, 0)]
-    with pytest.raises(ValueError):
-        majority_vote(rows)
+    for annotators in ((1, 2), (1, 1, 2), (1, 2, 3, 3)):
+        rows = [AnnotationRow("b", i, 0, 0) for i in (1, 2, 3)]
+        rows += [AnnotationRow("a", i, 1, 0) for i in annotators]
+        with pytest.raises(ValueError) as raised:
+            majority_vote(rows)
+        assert str(raised.value) == "sample a lacks exactly three annotators"
 
 
 def test_accuracy_truth_table_via_majority():
@@ -305,6 +321,50 @@ def test_majority_vote_matches_exhaustive_three_label_enumeration():
         rows = [AnnotationRow("s", i + 1, v, 0) for i, v in enumerate(votes)]
         metrics, _ = majority_vote(rows)
         assert metrics[0].root_cause_identified == int(sum(votes) >= 2)
+
+
+def _reference_majority_vote(rows):
+    """The list-and-set form of ``majority_vote``, kept as the reference."""
+    by_sample = {}
+    for row in rows:
+        by_sample.setdefault(row.sample_id, []).append(row)
+    metrics = []
+    cells = 0
+    disagreements = 0
+    for sample_id in sorted(by_sample):
+        group = by_sample[sample_id]
+        if sorted(r.annotator_id for r in group) != [1, 2, 3]:
+            raise ValueError(f"sample {sample_id} lacks exactly three annotators")
+        rci_votes = [r.root_cause for r in group]
+        bad_votes = [r.incorrect_facts for r in group]
+        rci = int(sum(rci_votes) >= 2)
+        bad = int(sum(bad_votes) >= 2)
+        cells += 2
+        disagreements += int(len(set(rci_votes)) > 1) + int(len(set(bad_votes)) > 1)
+        metrics.append(MetricRow(sample_id, rci, bad, int(rci == 1 and bad == 0)))
+    return metrics, (disagreements / cells if cells else 0.0)
+
+
+_LABELS = st.tuples(st.integers(0, 1), st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(alphabet="ab_1", min_size=1, max_size=3),
+        st.tuples(st.permutations((1, 2, 3)), st.tuples(_LABELS, _LABELS, _LABELS)),
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_majority_vote_equals_the_reference(samples, random):
+    rows = [
+        AnnotationRow(sample_id, annotator, rci, bad)
+        for sample_id, (annotators, labels) in samples.items()
+        for annotator, (rci, bad) in zip(annotators, labels)
+    ]
+    random.shuffle(rows)
+    assert majority_vote(rows) == _reference_majority_vote(rows)
 
 
 # -- stats and report ----------------------------------------------------------
@@ -435,6 +495,59 @@ def test_seed_0_results_csv_bytes_are_pinned(tmp_path, rule_reasoner_module):
     assert hashlib.sha256(data).hexdigest() == (
         "0a6093c6af5bd99c0c5c24af6add7e74e3800037ed545da375ce0862244218b1"
     )
+
+
+# field text with every character the csv dialect treats specially
+_CSV_TEXT = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", "\u2028", " ", "", "a b", "é"])
+    | st.text(max_size=3),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CSV_TEXT, min_size=2, max_size=6))
+def test_csv_field_rows_equal_csv_writer_rows(fields):
+    expected = io.StringIO()
+    csv.writer(expected).writerow(fields)
+    assert ",".join(map(_csv_field, fields)) + "\r\n" == expected.getvalue()
+
+
+def _reference_results_csv(records) -> bytes:
+    """The results CSV as ``csv.writer`` writes it, kept as the reference."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([
+        "sample_id", "scenario_id", "task_variant", "query_index", "method",
+        "produced_by", "selected_ok", "reasoner_calls", "wall_time", "explanation_text",
+    ])
+    for r in sorted(records, key=lambda r: r.sample_id):
+        writer.writerow([
+            r.sample_id, r.scenario_id, r.task_variant, r.query_index, r.method,
+            r.produced_by, "" if r.selected_ok is None else int(r.selected_ok),
+            r.reasoner_calls, f"{r.wall_time:.6f}", r.explanation_text,
+        ])
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT, st.booleans()), min_size=1, max_size=6))
+def test_results_csv_equals_csv_writer_and_reads_back(rows):
+    records = []
+    for i, (text, produced_by, ok) in enumerate(rows):
+        point = grid_triples()[i]
+        method = METHODS[i % len(METHODS)]
+        records.append(
+            EvalRecord(
+                _sample_id(*point, method), *point, method, text, produced_by,
+                reasoner_calls=i, wall_time=i / 8, selected_ok=ok if method == "hexar" else None,
+            )
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        write_results_csv(records, path)
+        assert path.read_bytes() == _reference_results_csv(records)
+        assert read_results_csv(path) == sorted(records, key=lambda r: r.sample_id)
 
 
 def test_results_csv_rejects_wrong_columns(tmp_path):
