@@ -445,16 +445,15 @@ def write_results_csv(records: list[EvalRecord], path: str | Path) -> None:
     The bytes are those of ``csv.writer`` in the default dialect: UTF-8,
     ``\r\n`` after every row, string fields quoted by :func:`_csv_field`.
     """
-    lines = [",".join(_RESULTS_COLUMNS)]
-    for r in sorted(records, key=attrgetter("sample_id")):
-        selected_ok = "" if r.selected_ok is None else int(r.selected_ok)
-        lines.append(
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_RESULTS_COLUMNS) + "\r\n")
+        fh.writelines(
             f"{_csv_field(r.sample_id)},{r.scenario_id},{r.task_variant},{r.query_index},"
-            f"{_csv_field(r.method)},{_csv_field(r.produced_by)},{selected_ok},"
-            f"{r.reasoner_calls},{r.wall_time:.6f},{_csv_field(r.explanation_text)}"
+            f"{_csv_field(r.method)},{_csv_field(r.produced_by)},"
+            f"{'' if r.selected_ok is None else int(r.selected_ok)},"
+            f"{r.reasoner_calls},{r.wall_time:.6f},{_csv_field(r.explanation_text)}\r\n"
+            for r in sorted(records, key=attrgetter("sample_id"))
         )
-    lines.append("")
-    Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
 
 def read_results_csv(path: str | Path) -> list[EvalRecord]:

@@ -88,9 +88,7 @@ def indent_headers(text: str) -> str:
 
 def query_section(question: str) -> str:
     """The ``## Query`` section that carries the user's question into a prompt."""
-    if "## " in question:
-        question = indent_headers(question)
-    return f"## Query\n{question}\n"
+    return f"## Query\n{indent_headers(question)}\n"
 
 
 def _sections(prompt: str) -> dict[str, str]:
