@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -21,18 +21,7 @@ METHODS = ("hexar", "end_to_end", "all_components")
 FAILURE_REPLY = "I do not have enough information to answer this question."
 
 
-# The three row types below are built hundreds of times per grid, so each has a
-# hand-written ``__init__`` (as ``trace.Event`` has): it sets the frozen fields
-# through the slot descriptors' setters, one C call each, where the generated
-# ``__init__`` goes through ``object.__setattr__`` by name.
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The setter of each field's slot, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(slots=True)
 class EvalRecord:
     sample_id: str
     scenario_id: int
@@ -45,99 +34,27 @@ class EvalRecord:
     wall_time: float
     selected_ok: bool | None  # hexar only
 
-    def __init__(
-        self,
-        sample_id: str,
-        scenario_id: int,
-        task_variant: int,
-        query_index: int,
-        method: str,
-        explanation_text: str,
-        produced_by: str,
-        reasoner_calls: int,
-        wall_time: float,
-        selected_ok: bool | None,
-    ) -> None:
-        _set_sample_id(self, sample_id)
-        _set_scenario_id(self, scenario_id)
-        _set_task_variant(self, task_variant)
-        _set_query_index(self, query_index)
-        _set_method(self, method)
-        _set_explanation_text(self, explanation_text)
-        _set_produced_by(self, produced_by)
-        _set_reasoner_calls(self, reasoner_calls)
-        _set_wall_time(self, wall_time)
-        _set_selected_ok(self, selected_ok)
 
-
-(
-    _set_sample_id,
-    _set_scenario_id,
-    _set_task_variant,
-    _set_query_index,
-    _set_method,
-    _set_explanation_text,
-    _set_produced_by,
-    _set_reasoner_calls,
-    _set_wall_time,
-    _set_selected_ok,
-) = _slot_setters(EvalRecord)
-
-
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(slots=True)
 class AnnotationRow:
     sample_id: str
     annotator_id: int
     root_cause: int
     incorrect_facts: int
 
-    def __init__(
-        self, sample_id: str, annotator_id: int, root_cause: int, incorrect_facts: int
-    ) -> None:
-        if annotator_id not in (1, 2, 3):
-            raise ValueError(f"annotator_id must be 1..3, got {annotator_id}")
-        if root_cause not in (0, 1) or incorrect_facts not in (0, 1):
+    def __post_init__(self) -> None:
+        if self.annotator_id not in (1, 2, 3):
+            raise ValueError(f"annotator_id must be 1..3, got {self.annotator_id}")
+        if self.root_cause not in (0, 1) or self.incorrect_facts not in (0, 1):
             raise ValueError("annotation labels must be binary")
-        _set_annotated_sample(self, sample_id)
-        _set_annotator_id(self, annotator_id)
-        _set_root_cause(self, root_cause)
-        _set_incorrect_facts(self, incorrect_facts)
 
 
-(
-    _set_annotated_sample,
-    _set_annotator_id,
-    _set_root_cause,
-    _set_incorrect_facts,
-) = _slot_setters(AnnotationRow)
-
-
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(slots=True)
 class MetricRow:
     sample_id: str
     root_cause_identified: int
     incorrect_facts_present: int
     explanation_accuracy: int
-
-    def __init__(
-        self,
-        sample_id: str,
-        root_cause_identified: int,
-        incorrect_facts_present: int,
-        explanation_accuracy: int,
-    ) -> None:
-        _set_metric_sample(self, sample_id)
-        _set_root_cause_identified(self, root_cause_identified)
-        _set_incorrect_facts_present(self, incorrect_facts_present)
-        _set_explanation_accuracy(self, explanation_accuracy)
-
-
-(
-    _set_metric_sample,
-    _set_root_cause_identified,
-    _set_incorrect_facts_present,
-    _set_explanation_accuracy,
-) = _slot_setters(MetricRow)
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ _AGGREGATION = load_prompt_template("aggregation")
 def _classifier_head(explainers: Iterable[ComponentExplainer]) -> str:
     """The classifier prompt up to its query: one candidate line per explainer."""
     candidates = "\n".join(f"- {e.id}: {e.capability}" for e in explainers)
-    return _CLASSIFIER.format(candidates=candidates)
+    return _CLASSIFIER.format(candidates=indent_headers(candidates))
 
 
 class ExplainerRegistry:

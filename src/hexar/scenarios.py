@@ -93,7 +93,7 @@ def _scenario(
                 description,
                 instructions,
                 queries,
-                GroundTruth(scenario_id, root_cause, module, category),
+                GroundTruth(root_cause, module),
                 evidence=root_cause if evidence is None else evidence,
                 contradicted_facts=contradicted,
                 script=script,

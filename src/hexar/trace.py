@@ -336,10 +336,8 @@ class Explanation:
 class GroundTruth:
     """Minimal root-cause description for one scenario."""
 
-    scenario_id: int
     root_cause: str
     relevant_module: str
-    category: str
 
 
 def _format_scalar(value: Scalar) -> str:

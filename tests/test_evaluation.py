@@ -307,6 +307,34 @@ def test_majority_vote_requires_three_annotators():
         assert str(raised.value) == "sample a lacks exactly three annotators"
 
 
+def test_rows_are_slotted_value_objects_and_annotations_are_checked():
+    """The three rows: slotted, equal by value, built alike by position and keyword."""
+    rows = [
+        EvalRecord("s01v1q1_hexar", 1, 1, 1, "hexar", "text", "navigation", 2, 0.5, True),
+        AnnotationRow("a", 1, 1, 0),
+        MetricRow("a", 1, 0, 1),
+    ]
+    for row in rows:
+        assert not hasattr(row, "__dict__"), type(row).__name__
+        copy = replace(row)
+        assert copy == row and copy is not row
+        by_keyword = type(row)(**{name: getattr(row, name) for name in row.__slots__})
+        assert by_keyword == row and repr(by_keyword) == repr(row)
+    assert AnnotationRow("a", 1, 1, 0) != AnnotationRow("a", 2, 1, 0)
+
+    annotation = rows[1]
+    bad_id = "annotator_id must be 1..3, got 4"
+    with pytest.raises(ValueError, match=f"^{bad_id}$"):
+        AnnotationRow("a", 4, 1, 0)
+    with pytest.raises(ValueError, match=f"^{bad_id}$"):
+        replace(annotation, annotator_id=4)
+    for labels in ({"root_cause": 2}, {"incorrect_facts": -1}):
+        with pytest.raises(ValueError, match="^annotation labels must be binary$"):
+            AnnotationRow("a", 1, **{"root_cause": 1, "incorrect_facts": 0, **labels})
+        with pytest.raises(ValueError, match="^annotation labels must be binary$"):
+            replace(annotation, **labels)
+
+
 def test_accuracy_truth_table_via_majority():
     # (rci, incorrect) -> accuracy: only (1,0) earns 1
     for rci, bad in itertools.product((0, 1), repeat=2):

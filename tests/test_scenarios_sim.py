@@ -48,7 +48,6 @@ def test_every_scenario_has_three_instructions_and_queries():
         assert len(spec.task_instructions) == 3
         assert len(spec.queries) == 3
         assert spec.category in CATEGORIES
-        assert spec.ground_truth.scenario_id == spec.scenario_id
         assert spec.ground_truth.relevant_module == spec.relevant_module
 
 
