@@ -390,6 +390,52 @@ _DECODER = json.JSONDecoder()
 # What decoding a line or reading its fields raises on bad input: a huge
 # number overflows int() or float(), deep nesting exhausts the recursion limit.
 _LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError)
+# how every line that write_trace writes begins
+_STAMP_MEMBER = '{"ts": '
+# stands in for the stamp member when the rest of a line is decoded alone
+_NO_STAMP = '{"": 0'
+# a scan that fails in any way leaves the line to the whole-line decode, which
+# raises the error it always has
+_SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
+# With two objects kept a line, a file this long fills the collector's first
+# generation (700 new objects by default). A shorter one has every line
+# decoded whole: its lines seldom repeat (18% of a short grid trace's lines
+# do), and keying each by its text costs more than the repeats save.
+_SHARED_REST_MIN_LINES = 350
+
+
+def _stamp_and_rest(raw: str, rests: dict[str, dict]) -> tuple[object, dict] | None:
+    """The decoded stamp of a line that begins with its "ts" member, and the
+    object its other members make, kept in ``rests`` by their text.
+
+    A module's periodic log lines differ only in their stamp, so the rest is
+    decoded once and its payload shared by all of them. None for any other
+    line, for a line that either part does not decode whole, and for a rest
+    that names "ts" again (the last member of a name wins); such a line is
+    decoded whole.
+    """
+    if not raw.startswith(_STAMP_MEMBER):
+        return None
+    cut = raw.find(", ", len(_STAMP_MEMBER))
+    try:
+        stamp, end = _DECODER.scan_once(raw, len(_STAMP_MEMBER))
+    except _SCAN_ERRORS:
+        return None
+    if cut < 0 or end != cut:
+        return None
+    tail = raw[cut:]
+    rest = rests.get(tail)
+    if rest is None:
+        # a valid stamp does not change whether the line decodes, so the
+        # members after it decode behind any other one exactly when it does
+        try:
+            rest, end = _DECODER.scan_once(_NO_STAMP + tail, 0)
+        except _SCAN_ERRORS:
+            return None
+        if end != len(_NO_STAMP) + len(tail) or "ts" in rest:
+            return None
+        rests[tail] = rest
+    return stamp, rest
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -400,7 +446,9 @@ def read_trace(path: str | Path) -> Trace:
     own, so a record split over two lines or two records on one line are
     rejected. Undecodable bytes, over-deep nesting and out-of-range numbers
     raise ``TraceError`` too. An error names the file line of the first
-    fault: a malformed line, or the first event out of order.
+    fault: a malformed line, or the first event out of order. In a long
+    file, events whose lines repeat all but the leading stamp share one
+    payload dict.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -419,34 +467,40 @@ def read_trace(path: str | Path) -> Trace:
     except _LINE_ERRORS as exc:
         raise TraceError(f"{path}: malformed header at line 1: {exc}") from exc
 
-    # One record is decoded and dropped per line, so the live objects stay at
-    # one Event and its payload per line: decoding the whole body at once
-    # keeps every record alive and sends more of them through the collector.
-    # Timestamp order is left to Trace, and the file is walked again for the
-    # line of the offender only when that check fails.
+    # One Event is built per line and nothing else is kept for it but its
+    # payload, which a long file's lines repeating all but their stamp share:
+    # the objects a long drive's trace holds stay near one per line, under
+    # the collector's first threshold, so reading it seldom sets off a
+    # collection. Timestamp order is left to Trace, and the file is walked
+    # again for the line of the offender only when that check fails.
     events: list[Event] = []
     append = events.append
     scan_once = _DECODER.scan_once
     new_event = Event
+    rests: dict[str, dict] | None = {} if len(raw_lines) > _SHARED_REST_MIN_LINES else None
     for lineno, raw in enumerate(raw_lines[1:], start=2):
         try:
-            # json.loads(raw) makes this same scan when no whitespace leads;
-            # any line the scan does not consume whole (blank, padded, BOM,
-            # extra data, malformed) goes to json.loads, which also gives
-            # the exact error
-            try:
-                record, end = scan_once(raw, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end != len(raw):
-                if not raw.strip():
-                    continue
-                record = json.loads(raw)
-            ts = float(record["ts"])
+            split = None if rests is None else _stamp_and_rest(raw, rests)
+            if split is not None:
+                stamp, record = split
+            else:
+                # json.loads(raw) makes this same scan when no whitespace
+                # leads; any line the scan does not consume whole (blank,
+                # padded, BOM, extra data, malformed) goes to json.loads,
+                # which also gives the exact error
+                try:
+                    record, end = scan_once(raw, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(raw):
+                    if not raw.strip():
+                        continue
+                    record = json.loads(raw)
+                stamp = record["ts"]
+            ts = float(stamp)
             source = str(record["source"])
             kind = str(record["kind"])
             payload = record["payload"]
-            # the dict the decoder has just built is this event's own
             if type(payload) is not dict:
                 payload = dict(payload)
             append(new_event(ts, source, kind, payload))

@@ -386,8 +386,9 @@ def test_read_trace_decodes_only_the_header_the_slow_way(tmp_path, monkeypatch, 
 
 def test_read_trace_keeps_no_more_objects_alive_at_once(tmp_path):
     """Reading decodes one record at a time, so the collector's gen-0 count
-    grows by about two a line (the Event and its payload); decoding the whole
-    body at once holds every record as well and sets off a collection here."""
+    grows by at most about two a line (the Event and its payload, unless an
+    earlier line shares it); decoding the whole body at once holds every
+    record as well and sets off a collection here."""
     trace = _padded_trace(562 - len(generate_trace(7, 1, 0).events))
     assert len(trace.events) == 562
     path = tmp_path / "t.trace"
@@ -624,3 +625,104 @@ def test_read_trace_matches_the_oracle_on_long_files(tmp_path_factory, defect, d
     path = directory / "t.trace"
     path.write_bytes("\n".join(lines).encode("utf-8"))
     assert _outcome(read_trace, path) == _outcome(oracle_read_trace, path)
+
+
+# -- lines that repeat all but their leading stamp ----------------------------
+
+_REST = ', "source": "navigation", "kind": "log", "payload": {"text": "hi"}}'
+
+
+def _long_file(lines: list[str]) -> str:
+    """``lines`` after a header, then enough lines of one rest at ts 10 to
+    make the file long enough that repeated rests are shared."""
+    filler = ['{"ts": 10' + _REST] * trace_module._SHARED_REST_MIN_LINES
+    return "\n".join([_HEADER, *lines, *filler]) + "\n"
+
+
+def test_read_trace_shares_the_payload_of_lines_repeating_past_the_stamp(tmp_path):
+    trace = _padded_trace(546)
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    back = read_trace(path)
+    assert back == trace
+    pads = [e.payload for e in back.events if e.payload == {"text": "Publishing"}]
+    assert len(pads) == 546 and all(p is pads[0] for p in pads)
+    # one payload per distinct rest of a line
+    assert len({id(e.payload) for e in back.events}) == len(
+        {json.dumps(e.payload) + e.source + e.kind for e in back.events}
+    )
+
+
+def test_read_trace_of_a_long_drive_stays_under_the_first_collector_threshold(tmp_path):
+    """About one object is kept a line (the Event), so with the gen-0 count
+    threshold a quarter above the event count, reading sets off no
+    collection; a payload dict of its own for every line would."""
+    trace = _padded_trace(562 - len(generate_trace(7, 1, 0).events))
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(int(1.25 * len(trace.events)), *threshold[1:])
+    gc.callbacks.append(record)
+    try:
+        read_trace(path)
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+    assert collections == []
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # the rest of the line names "ts" again, plainly or escaped
+        ['{"ts": 0.5' + _REST[:-1] + ', "ts": 0.25}'],
+        ['{"ts": 0.5' + _REST[:-1] + ', "t\\u0073": 0.25}', '{"ts": 0.75' + _REST],
+        ['{"ts": 0.5' + _REST[:-1] + ', "ts": "soon"}'],
+        # a trailing comma: the rest alone would be an empty object
+        ['{"ts": 0.5, }'],
+        ['{"ts": 0.5' + _REST[:-1] + ", }"],
+        # stamps of every kind ahead of one rest
+        ['{"ts": 1' + _REST, '{"ts": true' + _REST, '{"ts": 1.5' + _REST, '{"ts": "2"' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": "soon"' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": null' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": [2]' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": {"payload": 2}' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": -1' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": 01' + _REST],
+        ['{"ts": "1, 2"' + _REST],
+        ['{"ts": ' + _REST],
+        # not as write_trace writes it, or not one record
+        ['{"ts":1,"source":"navigation","kind":"log","payload":{"text":"hi"}}'],
+        ['{"ts": 1' + _REST + " "],
+        ['{"ts": 1' + _REST + '{"ts": 2' + _REST],
+        ['{"ts": 1' + _REST, '{"ts": 2' + _REST[:-2]],
+        ['{"ts": 1' + _REST.replace('"payload"', '"": 0, "payload"')],
+        ['{"ts": 1' + _REST.replace('"source": "navigation"', '"source": "warp"')],
+        ['{"ts": 1, "source": "navigation", "kind": "log", "payload": [["text", "hi"]]}'] * 2,
+        ['{"ts": ' + "[" * 60 + "]" * 60 + _REST],
+    ],
+)
+def test_read_trace_matches_the_oracle_on_stamp_first_lines(tmp_path, lines):
+    path = tmp_path / "t.trace"
+    path.write_text(_long_file(lines), encoding="utf-8")
+    assert _outcome(read_trace, path) == _outcome(oracle_read_trace, path)
+
+
+def test_read_trace_keeps_the_type_of_payload_values_behind_equal_stamps(tmp_path):
+    # 1, true and 1.0 are equal in Python but not in the file
+    lines = [
+        '{"ts": 1, "source": "system", "kind": "log", "payload": {"x": %s}}' % value
+        for value in ("1", "true", "1.0", "1")
+    ]
+    path = tmp_path / "t.trace"
+    path.write_text(_long_file(lines), encoding="utf-8")
+    payloads = [e.payload for e in read_trace(path).events][: len(lines)]
+    assert [type(p["x"]) for p in payloads] == [int, bool, float, int]
+    assert payloads[0] is payloads[3] and payloads[0] is not payloads[1]
