@@ -47,7 +47,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     for spec in specs:
         print(
-            f"{spec.scenario_id:2d}  {spec.category:24s} {spec.relevant_module:20s} "
+            f"{spec.scenario_id:2d}  {spec.category:24s} {spec.ground_truth.relevant_module:20s} "
             f"{spec.description}"
         )
     return EXIT_OK

@@ -481,7 +481,7 @@ def render_report(
               "|" + "---|" * (len(stats.methods) + 2)]
     accuracy: dict[tuple[str, str], list[int]] = {}  # (module, method) -> 0/1 values
     for r in records:
-        module = get_scenario(r.scenario_id).relevant_module
+        module = get_scenario(r.scenario_id).ground_truth.relevant_module
         accuracy.setdefault((module, r.method), []).append(by_sample[r.sample_id].explanation_accuracy)
     for module in ROBOT_MODULES:
         columns = [accuracy.get((module, method), []) for method in stats.methods]
@@ -491,6 +491,11 @@ def render_report(
     lines.append("")
 
     lines += ["## Statistics", ""]
+    if not stats.cochran:
+        lines.append(
+            "- No tests: Cochran's Q and McNemar compare two or more methods "
+            "at the same grid points."
+        )
     for metric in METRIC_NAMES:
         if metric in stats.cochran:
             q, df, p = stats.cochran[metric]

@@ -43,7 +43,6 @@ Script = Callable[["TraceBuilder", int, str], None]
 class ScenarioSpec:
     scenario_id: int
     category: str
-    relevant_module: str
     description: str
     task_instructions: tuple[str, str, str]
     queries: tuple[str, str, str]
@@ -89,7 +88,6 @@ def _scenario(
             ScenarioSpec(
                 scenario_id,
                 category,
-                module,
                 description,
                 instructions,
                 queries,

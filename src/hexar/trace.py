@@ -392,50 +392,14 @@ _DECODER = json.JSONDecoder()
 _LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError)
 # how every line that write_trace writes begins
 _STAMP_MEMBER = '{"ts": '
-# stands in for the stamp member when the rest of a line is decoded alone
-_NO_STAMP = '{"": 0'
-# a scan that fails in any way leaves the line to the whole-line decode, which
-# raises the error it always has
+# a stamp scan that fails in any way leaves the line to the whole-line decode,
+# which raises the error it always has
 _SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
 # With two objects kept a line, a file this long fills the collector's first
 # generation (700 new objects by default). A shorter one has every line
 # decoded whole: its lines seldom repeat (18% of a short grid trace's lines
 # do), and keying each by its text costs more than the repeats save.
 _SHARED_REST_MIN_LINES = 350
-
-
-def _stamp_and_rest(raw: str, rests: dict[str, dict]) -> tuple[object, dict] | None:
-    """The decoded stamp of a line that begins with its "ts" member, and the
-    object its other members make, kept in ``rests`` by their text.
-
-    A module's periodic log lines differ only in their stamp, so the rest is
-    decoded once and its payload shared by all of them. None for any other
-    line, for a line that either part does not decode whole, and for a rest
-    that names "ts" again (the last member of a name wins); such a line is
-    decoded whole.
-    """
-    if not raw.startswith(_STAMP_MEMBER):
-        return None
-    cut = raw.find(", ", len(_STAMP_MEMBER))
-    try:
-        stamp, end = _DECODER.scan_once(raw, len(_STAMP_MEMBER))
-    except _SCAN_ERRORS:
-        return None
-    if cut < 0 or end != cut:
-        return None
-    tail = raw[cut:]
-    rest = rests.get(tail)
-    if rest is None:
-        # a valid stamp does not change whether the line decodes, so the
-        # members after it decode behind any other one exactly when it does
-        try:
-            rest, end = _DECODER.scan_once(_NO_STAMP + tail, 0)
-        except _SCAN_ERRORS:
-            return None
-        if end != len(_NO_STAMP) + len(tail) or "ts" in rest:
-            return None
-        rests[tail] = rest
-    return stamp, rest
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -477,26 +441,40 @@ def read_trace(path: str | Path) -> Trace:
     append = events.append
     scan_once = _DECODER.scan_once
     new_event = Event
+    # a module's periodic log lines differ only in their stamp: the members
+    # after a stamp that a ", " ends decode the same behind any stamp, so a
+    # long file decodes each such rest once and its lines share the record
     rests: dict[str, dict] | None = {} if len(raw_lines) > _SHARED_REST_MIN_LINES else None
     for lineno, raw in enumerate(raw_lines[1:], start=2):
         try:
-            split = None if rests is None else _stamp_and_rest(raw, rests)
-            if split is not None:
-                stamp, record = split
-            else:
+            rest = record = None
+            if rests is not None and raw.startswith(_STAMP_MEMBER):
+                try:
+                    stamp, cut = scan_once(raw, len(_STAMP_MEMBER))
+                except _SCAN_ERRORS:
+                    # "{" is at 0, so a line whose stamp fails is never looked up
+                    cut = 0
+                if raw.startswith(", ", cut):
+                    rest = raw[cut:]
+                    record = rests.get(rest)
+            if record is None:
                 # json.loads(raw) makes this same scan when no whitespace
                 # leads; any line the scan does not consume whole (blank,
                 # padded, BOM, extra data, malformed) goes to json.loads,
                 # which also gives the exact error
                 try:
                     record, end = scan_once(raw, 0)
-                except (StopIteration, json.JSONDecodeError):
+                except _SCAN_ERRORS:
                     end = -1
                 if end != len(raw):
                     if not raw.strip():
                         continue
                     record = json.loads(raw)
                 stamp = record["ts"]
+                # kept only where the rest cannot name "ts" again, plainly or
+                # escaped: the last member of a name wins over the stamp
+                if rest is not None and '"ts"' not in rest and "\\u" not in rest:
+                    rests[rest] = record
             ts = float(stamp)
             source = str(record["source"])
             kind = str(record["kind"])

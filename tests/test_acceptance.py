@@ -90,10 +90,10 @@ def test_selector_accuracy(hexar_grid, specs):
     correct = sum(
         1
         for scenario_id, _, _, explanation in results
-        if explanation.produced_by == specs[scenario_id].relevant_module
+        if explanation.produced_by == specs[scenario_id].ground_truth.relevant_module
     )
     failure_correct = [
-        explanation.produced_by == specs[scenario_id].relevant_module
+        explanation.produced_by == specs[scenario_id].ground_truth.relevant_module
         for scenario_id, _, _, explanation in results
         if scenario_id in FAILURE_SCENARIOS
     ]

@@ -637,6 +637,32 @@ def test_report_auto_annotate(tmp_path, small_manifest, capsys):
     assert (out_dir / "stats.csv").exists()
 
 
+def test_report_of_one_method_says_why_it_has_no_statistics(tmp_path, small_manifest, capsys):
+    results = tmp_path / "results.csv"
+    code, _, _ = run(
+        [
+            "evaluate",
+            "--manifest",
+            str(small_manifest),
+            "--methods",
+            "hexar",
+            "--out",
+            str(results),
+        ],
+        capsys,
+    )
+    assert code == 0
+    out_dir = tmp_path / "report"
+    code, _, err = run(
+        ["report", "--results", str(results), "--auto-annotate", "--out", str(out_dir)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    text = (out_dir / "report.md").read_text()
+    statistics = text.split("## Statistics\n\n")[1].split("\n## ")[0]
+    assert statistics.startswith("- No tests: Cochran's Q and McNemar compare two or more")
+
+
 def test_report_missing_annotator_coverage(tmp_path, small_manifest, capsys):
     results = tmp_path / "results.csv"
     run(

@@ -265,7 +265,7 @@ def test_component_evidence_is_built_once_per_trace(
     monkeypatch, registry, rule_reasoner, explainer_id
 ):
     _, built = _count_evidence_builds(monkeypatch)
-    spec = next(s for s in list_scenarios() if s.relevant_module == explainer_id)
+    spec = next(s for s in list_scenarios() if s.ground_truth.relevant_module == explainer_id)
     trace = generate_trace(spec.scenario_id, 1, 0)
 
     def answers(trace):
@@ -467,7 +467,7 @@ def test_prompt_builders_equal_the_formatted_template(registry, trace_cache, tex
     # a line that begins with "## " is indented by one space; other text is kept
     asked = re.sub("^## ", " ## ", text, flags=re.MULTILINE)
     # the first scenario of each module, seed 0
-    first = {s.relevant_module: s.scenario_id for s in reversed(list_scenarios())}
+    first = {s.ground_truth.relevant_module: s.scenario_id for s in reversed(list_scenarios())}
     for scenario_id in first.values():
         trace = trace_cache(scenario_id)
         query = _query(trace, text)

@@ -27,19 +27,19 @@ def test_exactly_twenty_scenarios_with_unique_ids():
 
 def test_relevant_module_distribution():
     specs = list_scenarios()
-    assert all(s.relevant_module == "planner" for s in specs[0:4])
-    assert all(s.relevant_module == "navigation" for s in specs[4:10])
-    assert all(s.relevant_module == "ask_human_for_help" for s in specs[10:18])
-    assert specs[18].relevant_module == "text_to_speech"
-    assert specs[19].relevant_module == "pizza_recommender"
-    helpers = [s for s in specs if s.relevant_module == "ask_human_for_help"]
+    assert all(s.ground_truth.relevant_module == "planner" for s in specs[0:4])
+    assert all(s.ground_truth.relevant_module == "navigation" for s in specs[4:10])
+    assert all(s.ground_truth.relevant_module == "ask_human_for_help" for s in specs[10:18])
+    assert specs[18].ground_truth.relevant_module == "text_to_speech"
+    assert specs[19].ground_truth.relevant_module == "pizza_recommender"
+    helpers = [s for s in specs if s.ground_truth.relevant_module == "ask_human_for_help"]
     assert len(helpers) == 8
 
 
 def test_scenario_catalogue_rows():
     assert "Static obstacles prevent the robot" in get_scenario(5).description
     s19 = get_scenario(19)
-    assert s19.relevant_module == "text_to_speech"
+    assert s19.ground_truth.relevant_module == "text_to_speech"
     assert "times out" in s19.description
 
 
@@ -48,7 +48,6 @@ def test_every_scenario_has_three_instructions_and_queries():
         assert len(spec.task_instructions) == 3
         assert len(spec.queries) == 3
         assert spec.category in CATEGORIES
-        assert spec.ground_truth.relevant_module == spec.relevant_module
 
 
 def test_root_cause_never_listed_as_contradicted():

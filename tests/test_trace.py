@@ -707,11 +707,49 @@ def test_read_trace_of_a_long_drive_stays_under_the_first_collector_threshold(tm
         ['{"ts": 1' + _REST.replace('"source": "navigation"', '"source": "warp"')],
         ['{"ts": 1, "source": "navigation", "kind": "log", "payload": [["text", "hi"]]}'] * 2,
         ['{"ts": ' + "[" * 60 + "]" * 60 + _REST],
+        # no ", " after the stamp, which also fails to scan: never looked up
+        ['{"ts":  %d,"source":"system","kind":"log","payload":{}}' % ts for ts in (1, 2)],
+        # a rest repeated with a JSON escape, and a rest holding "ts" as a value
+        ['{"ts": %d' % ts + _REST.replace("hi", "caf\\u00e9") for ts in (1, 2)],
+        ['{"ts": %d' % ts + _REST.replace('"hi"', '"ts"') for ts in (1, 2)],
+        # one rest naming "ts" again behind two stamps: the last member wins
+        ['{"ts": %d' % ts + _REST[:-1] + ', "ts": 0.25}' for ts in (1, 2)],
+        ['{"ts": %d' % ts + _REST[:-1] + ', "t\\u0073": 0.25}' for ts in (1, 2)],
     ],
 )
 def test_read_trace_matches_the_oracle_on_stamp_first_lines(tmp_path, lines):
     path = tmp_path / "t.trace"
     path.write_text(_long_file(lines), encoding="utf-8")
+    assert _outcome(read_trace, path) == _outcome(oracle_read_trace, path)
+
+
+_ODD_STAMPS = ["0", "0.0", "-0", "1e-9", " 0", '"0"', "true", "[0]", "01"]
+_ODD_RESTS = [
+    _REST,
+    _REST.replace(", ", ","),
+    _REST + " ",
+    _REST[:-1] + ', "ts": 0}',
+    _REST[:-1] + ', "t\\u0073": 0}',
+    _REST.replace("hi", "caf\\u00e9"),
+    _REST.replace('"hi"', '"ts"'),
+    ", }",
+]
+
+
+@pytest.mark.parametrize("defect", [None, *_DEFECTS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_read_trace_matches_the_oracle_on_long_drawn_files(tmp_path_factory, defect, data):
+    """A drawn file made long enough to share rests: filler lines after its
+    header, and a few stamp-first lines of odd shape anywhere after it."""
+    lines = data.draw(trace_files(defect)).split("\n")
+    lines[1:1] = ['{"ts": 0' + _REST] * trace_module._SHARED_REST_MIN_LINES
+    for _ in range(data.draw(st.integers(0, 3))):
+        stamp = data.draw(st.sampled_from(_ODD_STAMPS))
+        odd = '{"ts": ' + stamp + data.draw(st.sampled_from(_ODD_RESTS))
+        lines.insert(data.draw(st.integers(1, len(lines))), odd)
+    path = tmp_path_factory.mktemp("long_drawn") / "t.trace"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
     assert _outcome(read_trace, path) == _outcome(oracle_read_trace, path)
 
 
