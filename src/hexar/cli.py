@@ -16,7 +16,6 @@ from .explainers import build_default_registry
 from .framework import ANSWER_ERRORS
 from .reasoner import ReasonerError, make_reasoner
 from .scenarios import get_scenario, grid_triples, list_scenarios, read_manifest, write_manifest
-from .simulate import generate_trace
 from .trace import TraceError, read_trace, validate_trace, write_trace
 
 EXIT_OK = 0
@@ -54,6 +53,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import generate_trace  # only this command simulates
+
     try:
         trace = generate_trace(args.scenario, args.task, args.seed)
     except ValueError as exc:
@@ -100,7 +101,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             if text and _explain_once(trace, text, method, registry, reasoner) != EXIT_OK:
                 status = EXIT_EXPLAIN
         return status
-    if not args.query:
+    if not (args.query and args.query.strip()):  # --interactive skips blank lines too
         return _fail("--query is required unless --interactive is set")
     return _explain_once(trace, args.query, method, registry, reasoner)
 

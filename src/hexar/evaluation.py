@@ -12,7 +12,6 @@ from .explainers import ROBOT_MODULES, build_default_registry
 from .framework import ANSWER_ERRORS, ExplainerRegistry, ReasonerMeter, explain_hexar
 from .reasoner import TextReasoner
 from .scenarios import check_grid_point, get_scenario, read_csv_rows
-from .simulate import generate_trace
 from .stats import cochran_q, holm_adjust, mcnemar, sample_variance
 from .trace import Explanation, Query, Trace
 
@@ -122,6 +121,10 @@ def run_grid(
         raise ValueError(f"jobs must be at least 1: {jobs}")
     # a repeated method, like a repeated grid point, is answered once
     methods = list(dict.fromkeys(methods))
+
+    # imported here, as concurrent.futures is below: answering a recorded
+    # trace never needs the simulator
+    from .simulate import generate_trace
 
     traces: dict[tuple[int, int], Trace] = {}
     for scenario_id, variant, _ in triples:

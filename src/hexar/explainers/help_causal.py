@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..framework import ExplainerError
 from ..reasoner import ReasonerError, TextReasoner, indent_headers
@@ -69,8 +69,7 @@ class HelpVariables:
                 raise ValueError(f"help variables must be finite and non-negative: {value}")
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     variable: str
     predicate: Callable[[HelpVariables], bool]
     failure: HelpOutcome
@@ -205,8 +204,7 @@ def evaluate_model(v: HelpVariables) -> HelpOutcome:
     return HelpOutcome.SUCCESS
 
 
-@dataclass(frozen=True)
-class CounterfactualResult:
+class CounterfactualResult(NamedTuple):
     realized: HelpOutcome
     variable: str
     observed: object

@@ -14,9 +14,9 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from itertools import compress
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..framework import ExplainerError
 from ..trace import ContextVector, Event, EventView, Query
@@ -37,8 +37,7 @@ INGREDIENTS = (
 PIZZA_CLASSES = ("margherita", "pepperoni", "hawaiian", "vegetarian", "marinara")
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """Internal split node; children keyed by the binary feature value."""
 
     feature: int
@@ -46,14 +45,12 @@ class TreeNode:
     right: "TreeNode | TreeLeaf"  # feature == 1
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
+class TreeLeaf(NamedTuple):
     label: str
     proba: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     root: "TreeNode | TreeLeaf"
     classes: tuple[str, ...]
     n_features: int
@@ -189,14 +186,12 @@ def default_tree() -> DecisionTree:
 RIDGE = 1e-6
 
 
-@dataclass(frozen=True)
-class LimeConfig:
+class LimeConfig(NamedTuple):
     n_samples: int = 1000
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Attribution:
+class Attribution(NamedTuple):
     weights: tuple[float, ...]
     intercept: float
     top_present_ingredient: str | None
@@ -210,20 +205,23 @@ def _weighted_ridge(
 ) -> tuple[list[float], float]:
     """Weighted ridge fit with an unpenalized intercept column appended.
 
-    ``rows`` are distinct; a repeated input carries its multiplicity in its
-    weight. Each entry of the normal equations is one ``math.fsum``, so it
-    is correctly rounded whatever the row order, and the system is solved
-    by Gaussian elimination with partial pivoting.
+    ``rows`` are distinct and binary; a repeated input carries its
+    multiplicity in its weight. Each entry of the normal equations is one
+    ``math.fsum``, so it is correctly rounded whatever the row order; as the
+    rows are binary, it sums just the weights (or weighted targets) of the
+    rows whose factors are all 1. The system is solved by Gaussian
+    elimination with partial pivoting.
     """
     d = len(rows[0])
     n = d + 1
     columns = [*zip(*rows), (1,) * len(rows)]
-    weighted = [list(map(operator.mul, weights, column)) for column in columns]
+    weighted_targets = list(map(operator.mul, weights, targets))
     # augmented system [normal | rhs]; the normal matrix is symmetric
-    system = [[0.0] * n + [math.fsum(map(operator.mul, wi, targets))] for wi in weighted]
-    for i in range(n):
+    system = [[0.0] * n + [math.fsum(compress(weighted_targets, ci))] for ci in columns]
+    for i, ci in enumerate(columns):
         for j in range(i, n):
-            system[i][j] = system[j][i] = math.fsum(map(operator.mul, weighted[i], columns[j]))
+            both = map(operator.mul, ci, columns[j])
+            system[i][j] = system[j][i] = math.fsum(compress(weights, both))
     for i in range(d):
         system[i][i] += lam
     for k in range(n):
@@ -289,7 +287,7 @@ def lime_attribute(
     sigma = 0.75 * sqrt(d) and fits a weighted ridge regression of the
     target-class probability on the perturbations. The result is a pure
     function of the arguments, so the most recent distinct calls are
-    memoized and share one frozen ``Attribution``.
+    memoized and share one immutable ``Attribution``.
     """
     return _lime_attribute(tree, tuple(x), target_class, cfg)
 
@@ -302,6 +300,8 @@ def _lime_attribute(
         raise ValueError(f"unknown class {target_class!r}")
     if cfg.n_samples < 1:
         raise ValueError("need at least one perturbation sample")
+    if any(v not in (0, 1) for v in x):
+        raise ValueError(f"non-binary feature vector: {x!r}")
     d = tree.n_features
     target_idx = tree.classes.index(target_class)
     counts = Counter([x])

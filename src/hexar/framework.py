@@ -14,7 +14,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .reasoner import (
     ReasonerError,
@@ -152,8 +152,7 @@ class SelectorStage(str, Enum):
     QUERY_CLASSIFIER = "query_classifier"
 
 
-@dataclass(frozen=True)
-class SelectorDecision:
+class SelectorDecision(NamedTuple):
     chosen: str
     stage: SelectorStage
 

@@ -14,8 +14,8 @@ import json
 import os
 import re
 import urllib.parse
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 KNOWN_LOCATIONS = ("living room", "kitchen", "bedroom", "bathroom", "hallway")
 
@@ -38,15 +38,13 @@ class RemoteReasonerError(ReasonerError):
     """The remote endpoint failed or returned an unusable response."""
 
 
-@dataclass(frozen=True)
-class ReasonerRequest:
+class ReasonerRequest(NamedTuple):
     system_prompt: str
     user_prompt: str
     max_tokens: int = 512
 
 
-@dataclass(frozen=True)
-class ReasonerResponse:
+class ReasonerResponse(NamedTuple):
     """A completion and its modelled seconds; measured time is the caller's clock."""
 
     text: str

@@ -3,6 +3,11 @@
 A trace is the file-based stand-in for robot middleware recordings: a header
 line followed by one timestamped event record per line. All types are
 immutable after construction and safe to share between concurrent readers.
+
+A record that is only built and read is a ``typing.NamedTuple``, which costs
+less to define at import and to build. A record is a dataclass when it
+validates its fields, is copied with ``dataclasses.replace`` or keeps derived
+values.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TypeVar, Union
+from typing import NamedTuple, TypeVar, Union
 
 Scalar = Union[str, int, float, bool]
 _T = TypeVar("_T")
@@ -225,8 +230,7 @@ class Trace:
         return None
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     skill: str
     params: dict[str, Scalar]
 
@@ -332,8 +336,7 @@ class Explanation:
             raise TraceError("explanation cost fields must be non-negative")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """Minimal root-cause description for one scenario."""
 
     root_cause: str

@@ -114,26 +114,39 @@ def test_explain_hexar_charger(charger_trace, capsys):
     assert "produced_by: navigation" in out
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this hexar."""
+    src = str(Path(hexar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_explain_pizza_imports_no_numpy(tmp_path, capsys):
     """hexar has no runtime dependency: numpy is a test-only oracle."""
     trace = tmp_path / "s20.jsonl"
     main(["simulate", "--scenario", "20", "--task", "1", "--seed", "0", "--out", str(trace)])
     capsys.readouterr()
-    script = (
+    done = run_python(
         "import sys, hexar.cli, hexar.evaluation\n"
         f"code = hexar.cli.main(['explain', '--trace', {str(trace)!r}, "
         "'--query', 'Why did you pick that pizza?'])\n"
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    src = str(Path(hexar.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
     assert done.returncode == 0, done.stderr
     assert "produced_by: pizza_recommender" in done.stdout
+
+
+def test_importing_hexar_leaves_the_simulator_unloaded():
+    """Answering a recorded trace needs no simulator, so start-up skips it."""
+    done = run_python(
+        "import sys, hexar, hexar.evaluation, hexar.explainers, hexar.cli\n"
+        "assert 'hexar.simulate' not in sys.modules, 'hexar.simulate was imported'\n"
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_explain_is_deterministic(charger_trace, capsys):
@@ -390,6 +403,15 @@ def test_explain_interactive_reads_stdin(charger_trace, capsys, monkeypatch):
     code, out, _ = run(["explain", "--trace", str(charger_trace), "--interactive"], capsys)
     assert code == 0
     assert "plugged into its charger" in out
+
+
+@pytest.mark.parametrize("query", [None, "", "   ", "\t\n"])
+def test_explain_without_a_question_is_usage_error(charger_trace, capsys, query):
+    argv = ["explain", "--trace", str(charger_trace)]
+    code, out, err = run(argv if query is None else [*argv, "--query", query], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --query is required unless --interactive is set\n"
 
 
 _SLOW = "Why did you drive so slowly along the route?"  # no navigation evidence: fails

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexar.explainers.pizza import (
     INGREDIENTS,
@@ -305,12 +309,74 @@ def test_weighted_ridge_rejects_a_singular_unpenalised_system():
         pizza._weighted_ridge([(0, 1)], [1.0], [1.0], 0.0)
 
 
+def product_sum_weighted_ridge(rows, targets, weights, lam):
+    """``_weighted_ridge`` summing the products over every row, as the reference.
+
+    The package sums only the weights of the rows whose binary factors are
+    all 1; on binary rows these are the same nonzero addends of an exact sum.
+    """
+    d = len(rows[0])
+    n = d + 1
+    columns = [*zip(*rows), (1,) * len(rows)]
+    weighted = [list(map(operator.mul, weights, column)) for column in columns]
+    system = [[0.0] * n + [math.fsum(map(operator.mul, wi, targets))] for wi in weighted]
+    for i in range(n):
+        for j in range(i, n):
+            system[i][j] = system[j][i] = math.fsum(map(operator.mul, weighted[i], columns[j]))
+    for i in range(d):
+        system[i][i] += lam
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda r: abs(system[r][k]))
+        if system[pivot][k] == 0.0:
+            raise ValueError("degenerate design: the normal equations are singular")
+        system[k], system[pivot] = system[pivot], system[k]
+        for r in range(k + 1, n):
+            factor = system[r][k] / system[k][k]
+            system[r] = [a - factor * b for a, b in zip(system[r], system[k])]
+    solution = [0.0] * n
+    for k in reversed(range(n)):
+        known = math.fsum(system[k][j] * solution[j] for j in range(k + 1, n))
+        solution[k] = (system[k][n] - known) / system[k][k]
+    return solution[:d], solution[d]
+
+
+@st.composite
+def ridge_problems(draw):
+    """Distinct binary rows, positive weights, targets in [0, 1] and a penalty."""
+    d = draw(st.integers(1, D))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=40, unique=True))
+    targets = draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows), max_size=len(rows)))
+    weights = draw(
+        st.lists(
+            st.floats(0.0, 1e3, exclude_min=True), min_size=len(rows), max_size=len(rows)
+        )
+    )
+    return rows, targets, weights, draw(st.sampled_from([0.0, 1e-6, 0.5]))
+
+
+def _fit_or_error(fit, problem):
+    try:
+        return fit(*problem)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ridge_problems())
+def test_weighted_ridge_equals_the_product_sum_form(problem):
+    """Bit-identical coefficients, and the same error for a singular system."""
+    expected = _fit_or_error(product_sum_weighted_ridge, problem)
+    assert _fit_or_error(pizza._weighted_ridge, problem) == expected
+
+
 def test_lime_attribute_validates_inputs():
     tree = default_tree()
     with pytest.raises(ValueError):
         lime_attribute(tree, tuple([0] * D), "calzone")
     with pytest.raises(ValueError):
         lime_attribute(tree, tuple([0] * D), "margherita", LimeConfig(n_samples=0))
+    with pytest.raises(ValueError, match="non-binary feature vector"):
+        lime_attribute(tree, (2,) + (0,) * (D - 1), "margherita")
 
 
 def test_lime_attribute_reproduces_the_pinned_draw_sequence():
