@@ -22,11 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EXPLAIN = 3
 
-_METHOD_FLAGS = {
-    "hexar": "hexar",
-    "end-to-end": "end_to_end",
-    "all-components": "all_components",
-}
+_METHOD_FLAGS = {method.replace("_", "-"): method for method in evaluation.METHODS}
 
 
 def _fail(message: str) -> int:

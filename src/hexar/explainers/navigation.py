@@ -7,14 +7,13 @@ catalogue of known navigation situations the reasoner may recognise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 
 from ..framework import ExplainerError
 from ..reasoner import (
+    NAVIGATION_SITUATIONS,
     TextReasoner,
-    _load_json,
     indent_headers,
     load_prompt_template,
     query_section,
@@ -78,15 +77,12 @@ def filter_logs(lines: list[str]) -> list[str]:
         current = reduced
 
 
-@functools.lru_cache(maxsize=None)
+_CATALOGUE = "\n".join(f'- if the evidence mentions "{m}": {s}' for m, s in NAVIGATION_SITUATIONS)
+
+
 def situation_catalogue() -> str:
-    """Known navigation situations, rendered for the prompt."""
-    lines = [
-        f"- if the evidence mentions \"{e['marker']}\": {e['sentence']}"
-        for e in _load_json("situations.json")
-        if e["scope"] == "navigation"
-    ]
-    return "\n".join(lines)
+    """Known navigation situations, rendered for the prompt once per process."""
+    return _CATALOGUE
 
 
 def _navigation_evidence(events: EventView) -> str:

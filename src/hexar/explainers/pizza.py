@@ -15,10 +15,10 @@ import operator
 import random
 from collections import Counter
 from itertools import compress
-from importlib import resources
 from typing import NamedTuple, Sequence
 
 from ..framework import ExplainerError
+from ..reasoner import read_package_data
 from ..trace import ContextVector, Event, EventView, Query
 
 INGREDIENTS = (
@@ -166,7 +166,7 @@ def predict(tree: DecisionTree, x: tuple[int, ...]) -> str:
 
 def load_recipe_dataset() -> list[tuple[tuple[int, ...], str]]:
     """Read the bundled recipe CSV (columns: ingredients..., label)."""
-    text = resources.files("hexar.data").joinpath("pizza_recipes.csv").read_text("utf-8")
+    text = read_package_data("pizza_recipes.csv")
     reader = csv.DictReader(text.splitlines())
     dataset = []
     for row in reader:

@@ -65,12 +65,13 @@ class TextReasoner:
         )
 
 
-def _load_json(name: str):
-    return json.loads(resources.files("hexar.data").joinpath(name).read_text("utf-8"))
+def read_package_data(name: str) -> str:
+    """The text of ``name``, a file under ``hexar/data``; the one reader of that folder."""
+    return resources.files("hexar.data").joinpath(name).read_text("utf-8")
 
 
 def load_prompt_template(name: str) -> str:
-    return resources.files("hexar.data").joinpath(f"prompts/{name}.txt").read_text("utf-8")
+    return read_package_data(f"prompts/{name}.txt")
 
 
 def indent_headers(text: str) -> str:
@@ -113,6 +114,18 @@ def _situations_in(situations: list[dict], scopes: tuple[str, ...]) -> list[tupl
     return [(e["marker"], e["sentence"]) for e in situations if e["scope"] in scopes]
 
 
+# The rule reasoner's knowledge, parsed once per process: keywords in
+# first-match order, (marker, sentence) situations in catalogue order.
+_KEYWORDS = tuple(
+    (re.compile(entry["pattern"], re.I), entry["explainer"])
+    for entry in json.loads(read_package_data("classifier_keywords.json"))
+)
+_SITUATIONS = json.loads(read_package_data("situations.json"))
+NAVIGATION_SITUATIONS = _situations_in(_SITUATIONS, ("navigation",))
+_EVIDENCE_SITUATIONS = _situations_in(_SITUATIONS, ("navigation", "help", "tts", "pizza"))
+_CF_PHRASINGS = json.loads(read_package_data("counterfactual_phrasings.json"))
+
+
 class RuleReasoner(TextReasoner):
     """Deterministic stand-in for a greedy-decoded language model.
 
@@ -126,20 +139,10 @@ class RuleReasoner(TextReasoner):
     every string taken from the trace pass through :func:`indent_headers`,
     which indents a line that begins with ``## ``, so neither can add a
     section or pick a family.
-    """
 
-    def __init__(self) -> None:
-        self._keywords = [
-            (re.compile(entry["pattern"], re.I), entry["explainer"])
-            for entry in _load_json("classifier_keywords.json")
-        ]
-        situations = _load_json("situations.json")
-        # (marker, sentence) in catalogue order, per scope set a prompt family reads
-        self._navigation_situations = _situations_in(situations, ("navigation",))
-        self._evidence_situations = _situations_in(
-            situations, ("navigation", "help", "tts", "pizza")
-        )
-        self._cf_phrasings = _load_json("counterfactual_phrasings.json")
+    It holds no state: its knowledge is parsed from ``hexar/data`` once, when
+    this module is imported, so ``RuleReasoner()`` builds nothing.
+    """
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         if not request.system_prompt or not request.user_prompt:
@@ -167,7 +170,7 @@ class RuleReasoner(TextReasoner):
         query = sections.get("Query")
         if query is None:
             raise NoMatchError("classification prompt lacks a query section")
-        for pattern, explainer in self._keywords:
+        for pattern, explainer in _KEYWORDS:
             if pattern.search(query):
                 return explainer
         # generic queries on successful runs default to the planner view
@@ -179,7 +182,7 @@ class RuleReasoner(TextReasoner):
 
     def _navigation(self, sections: dict[str, str]) -> str:
         evidence = sections["Navigation logs"] + "\n" + sections.get("Robot parameters", "")
-        matched = self._matches(evidence, self._navigation_situations)
+        matched = self._matches(evidence, NAVIGATION_SITUATIONS)
         if not matched:
             raise NoMatchError("no known navigation situation matches the evidence")
         return matched[0]
@@ -229,7 +232,7 @@ class RuleReasoner(TextReasoner):
         finding = self._planner_finding(sections)
         if finding is not None:
             parts.append(finding)
-        for sentence in self._matches(evidence, self._evidence_situations):
+        for sentence in self._matches(evidence, _EVIDENCE_SITUATIONS):
             if sentence not in parts:
                 parts.append(sentence)
         if not parts:
@@ -241,7 +244,7 @@ class RuleReasoner(TextReasoner):
         if not match:
             raise NoMatchError("counterfactual sentence does not parse")
         outcome, _, observed, boundary, _ = match.groups()
-        phrasing = self._cf_phrasings.get(outcome)
+        phrasing = _CF_PHRASINGS.get(outcome)
         if phrasing is None:
             raise NoMatchError(f"no phrasing for outcome {outcome!r}")
         return phrasing.format(x=observed, x_star=boundary)
@@ -311,9 +314,11 @@ class RemoteReasoner(TextReasoner):
             text = payload["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not str")
+            if not text.strip():
+                raise ValueError("content is empty")
         except (OSError, http.client.HTTPException) as exc:
             raise RemoteReasonerError(f"chat-completion request failed: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise RemoteReasonerError(f"malformed chat-completion response: {exc}") from exc
         return ReasonerResponse(text=text)
 

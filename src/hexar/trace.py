@@ -26,18 +26,11 @@ _T = TypeVar("_T")
 _S = TypeVar("_S")
 _A = TypeVar("_A", bound=Hashable)
 
-SOURCES = (
-    "planner",
-    "navigation",
-    "text_to_speech",
-    "ask_human_for_help",
-    "pizza_recommender",
-    "system",
-)
-
 KINDS = ("log", "plan", "skill_status", "param", "detection", "dialogue")
 
 SKILLS = ("navigation", "text_to_speech", "ask_human_for_help", "pizza_recommender")
+
+SOURCES = ("planner", *SKILLS, "system")
 
 STATUSES = ("waiting", "running", "succeeded", "failed")
 

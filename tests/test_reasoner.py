@@ -17,12 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexar
+from hexar import reasoner as reasoner_module
 from hexar.baselines import build_end_to_end_prompt
 from hexar.cli import main
-from hexar.evaluation import ANSWER_ERRORS, METHODS, answer
+from hexar.evaluation import ANSWER_ERRORS, METHODS, answer, run_grid
+from hexar.explainers import navigation
+from hexar.explainers.navigation import build_navigation_prompt, situation_catalogue
 from hexar.explainers.planner import build_planner_prompt
 from hexar.framework import build_aggregation_prompt
 from hexar.reasoner import (
+    NAVIGATION_SITUATIONS,
     LatencyModelReasoner,
     NoMatchError,
     ReasonerError,
@@ -109,16 +113,98 @@ def test_rule_reasoner_rejects_empty_prompts(rule_reasoner):
         rule_reasoner.complete(ReasonerRequest(system_prompt="", user_prompt="x"))
 
 
+COUNTERFACTUAL_PROMPT = (
+    "Rephrase.\n## Counterfactual\n"
+    "human_too_far occurred because min_distance = 4.10. "
+    "If min_distance = 3.00, help_refused would have occurred instead.\n"
+)
+
+
 def test_counterfactual_naturalisation_substitutes_values(rule_reasoner):
-    prompt = (
-        "Rephrase.\n## Counterfactual\n"
-        "human_too_far occurred because min_distance = 4.10. "
-        "If min_distance = 3.00, help_refused would have occurred instead.\n"
-    )
-    response = rule_reasoner.complete_text("naturalise", prompt)
+    response = rule_reasoner.complete_text("naturalise", COUNTERFACTUAL_PROMPT)
     assert "too far away to ask for help" in response.text
     assert "4.10 m" in response.text
     assert "3.00 m" in response.text
+
+
+# -- bundled knowledge -----------------------------------------------------------
+
+
+def _unreadable(name):
+    raise AssertionError(f"hexar/data/{name} read after import")
+
+
+def test_rule_reasoner_reads_no_package_data_once_imported(monkeypatch, registry, trace_cache):
+    trace = trace_cache(7)
+    events = trace.by_source(registry.explainers["navigation"].subscribed_sources)
+    navigation_prompt = build_navigation_prompt(Query("Why are you so slow?", 0.0), events)
+    prompts = [
+        CLASSIFY_PROMPT.format(query="Why did you pick that pizza?"),
+        navigation_prompt,
+        COUNTERFACTUAL_PROMPT,
+    ]
+    before = [RuleReasoner().complete_text("sys", prompt).text for prompt in prompts]
+    assert before[0] == "pizza_recommender"
+    assert before[1] in [sentence for _, sentence in NAVIGATION_SITUATIONS]
+    assert "4.10 m" in before[2]
+
+    monkeypatch.setattr(reasoner_module, "read_package_data", _unreadable)
+    reasoner = RuleReasoner()
+    assert [reasoner.complete_text("sys", prompt).text for prompt in prompts] == before
+    assert "__init__" not in vars(RuleReasoner)
+    assert vars(reasoner) == {}  # answering set no attribute either
+
+
+def test_situation_catalogue_lists_the_reasoners_navigation_situations():
+    package = Path(hexar.__file__).resolve().parent
+    entries = json.loads((package / "data" / "situations.json").read_text("utf-8"))
+    expected = [(e["marker"], e["sentence"]) for e in entries if e["scope"] == "navigation"]
+    assert list(NAVIGATION_SITUATIONS) == expected
+    assert situation_catalogue().split("\n") == [
+        f'- if the evidence mentions "{marker}": {sentence}' for marker, sentence in expected
+    ]
+
+
+def test_situation_catalogue_is_built_once(monkeypatch):
+    catalogue = situation_catalogue()
+    monkeypatch.setattr(reasoner_module, "read_package_data", _unreadable)
+    monkeypatch.setattr(navigation, "NAVIGATION_SITUATIONS", ())
+    assert situation_catalogue() is catalogue
+
+
+def test_every_package_data_file_is_read_once_per_process():
+    """Nine reasoners, every method and the pizza tree read each file of ``hexar/data`` once."""
+    package = Path(hexar.__file__).resolve().parent
+    script = (
+        "import collections, pathlib, sys\n"
+        "opened = collections.Counter()\n"
+        f"data = pathlib.Path({str(package / 'data')!r})\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and data in pathlib.Path(str(args[0])).parents:\n"
+        "        opened[pathlib.Path(str(args[0])).name] += 1\n"
+        "sys.addaudithook(hook)\n"
+        "from hexar import RuleReasoner\n"
+        "from hexar.evaluation import METHODS, answer\n"
+        "from hexar.explainers import build_default_registry\n"
+        "from hexar.simulate import generate_trace\n"
+        "registry = build_default_registry()\n"
+        "for scenario in (7, 13, 20):\n"
+        "    trace = generate_trace(scenario, 1, 0)\n"
+        "    for method in METHODS:\n"
+        "        answer(method, 'What happened?', trace, registry, RuleReasoner())\n"
+        "print(' '.join(f'{name}={count}' for name, count in sorted(opened.items())))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    files = sorted(p.name for p in (package / "data").rglob("*") if p.is_file())
+    assert done.stdout.split() == [f"{name}=1" for name in files]
 
 
 # -- prompt sections ----------------------------------------------------------
@@ -379,6 +465,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     seen: list[dict] = []
     status = 200
     content: object = "remote says hi"
+    raw: bytes | None = None  # a body sent as is, in place of the chat payload
     delay = 0.0  # seconds the endpoint takes to answer
 
     def do_POST(self):
@@ -393,7 +480,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
             "choices": [{"message": {"role": "assistant", "content": type(self).content}}],
             "usage": {"total_tokens": 11},
         }
-        self.wfile.write(json.dumps(payload).encode())
+        raw = type(self).raw
+        self.wfile.write(json.dumps(payload).encode() if raw is None else raw)
 
     def log_message(self, *args):
         pass
@@ -404,6 +492,7 @@ def chat_server():
     _ChatHandler.seen = []
     _ChatHandler.status = 200
     _ChatHandler.content = "remote says hi"
+    _ChatHandler.raw = None
     _ChatHandler.delay = 0.0
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -450,6 +539,65 @@ def test_remote_reasoner_rejects_non_string_content(chat_server, content):
     reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
     with pytest.raises(RemoteReasonerError, match="malformed chat-completion response"):
         reasoner.complete_text("sys", "user")
+
+
+NESTED_BODY = b"[" * 100_000  # json.loads raises RecursionError on it
+
+
+@pytest.mark.parametrize(
+    "raw, content",
+    [(NESTED_BODY, None), (None, ""), (None, " \n\t ")],
+    ids=["nested-body", "empty-content", "blank-content"],
+)
+def test_remote_reasoner_rejects_an_unusable_reply(chat_server, raw, content):
+    _ChatHandler.raw = raw
+    _ChatHandler.content = content
+    reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
+    with pytest.raises(RemoteReasonerError, match="malformed chat-completion response"):
+        reasoner.complete_text("sys", "user")
+
+
+def test_explain_with_a_nested_remote_reply_exits_3(chat_server, tmp_path, capsys, monkeypatch):
+    _ChatHandler.raw = NESTED_BODY
+    monkeypatch.setenv("HEXAR_REASONER_URL", chat_server)
+    trace = tmp_path / "trace.jsonl"
+    main(["simulate", "--scenario", "7", "--task", "1", "--seed", "0", "--out", str(trace)])
+    capsys.readouterr()
+    code = main(["explain", "--trace", str(trace), "--query", "Why?", "--reasoner", "remote"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "RemoteReasonerError: malformed chat-completion response" in err
+    assert "Traceback" not in out + err
+
+
+class _Refusing(TextReasoner):
+    def complete(self, request):
+        raise NoMatchError("no reply")
+
+
+def test_hexar_answers_with_the_help_template_on_empty_remote_content(
+    chat_server, tmp_path, capsys, monkeypatch, registry
+):
+    _ChatHandler.content = ""
+    monkeypatch.setenv("HEXAR_REASONER_URL", chat_server)
+    path = tmp_path / "trace.jsonl"
+    main(["simulate", "--scenario", "13", "--task", "1", "--seed", "0", "--out", str(path)])
+    capsys.readouterr()
+    query = "What happened?"
+    code = main(["explain", "--trace", str(path), "--query", query, "--reasoner", "remote"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    fallback = answer("hexar", query, hexar.read_trace(path), registry, _Refusing())
+    assert "[counterfactual template; naturalisation unavailable]" in fallback.text
+    assert out.splitlines()[:2] == [fallback.text, f"produced_by: {fallback.produced_by}"]
+    assert len(_ChatHandler.seen) == 1  # the naturalisation call, answered with ""
+
+
+def test_run_grid_records_a_nested_remote_reply_as_an_error(chat_server, registry):
+    _ChatHandler.raw = NESTED_BODY
+    reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
+    (record,) = run_grid(["end_to_end"], [(7, 1, 0)], reasoner, seed=0, registry=registry)
+    assert (record.produced_by, record.explanation_text) == ("error:RemoteReasonerError", "")
 
 
 def test_explain_with_null_remote_content_exits_3(chat_server, tmp_path, capsys, monkeypatch):
