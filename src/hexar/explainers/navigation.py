@@ -1,8 +1,17 @@
 """Navigation explainer: filtered logs plus state parameters into a reasoner.
 
 The prompt carries the filtered log, the navigation-relevant parameter
-events (charger, joystick, speed, localisation covariance) and a fixed
-catalogue of known navigation situations the reasoner may recognise.
+events (charger, joystick, speed, localisation covariance) and the known
+navigation situations the reasoner may recognise.
+
+Navigation is one level of hierarchy: three sub-explainers each own a slice
+of the situation catalogue. ``mode`` holds the charger and joystick,
+``motion`` bad localisation and the speed limit, and ``path`` the static
+obstacle and replanning. The slice is picked from the names of the
+navigation params the trace sets, never from the catalogue's markers, and
+without a reasoner call. A trace that sets none gets ``path``; params of two
+sub-explainers give the union of their slices, in catalogue order. The
+end-to-end baseline keeps the whole catalogue (:func:`situation_catalogue`).
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import re
 from ..framework import ExplainerError
 from ..reasoner import (
     NAVIGATION_SITUATIONS,
+    NAVIGATION_SUB_EXPLAINERS,
     TextReasoner,
     indent_headers,
     load_prompt_template,
@@ -20,12 +30,13 @@ from ..reasoner import (
 )
 from ..trace import ContextVector, EventView, Query
 
-_RELEVANT_PARAMS = (
-    "charger_connected",
-    "joystick_enabled",
-    "max_speed",
-    "localization_covariance",
-)
+# The sub-explainer each navigation param selects; other params are not shown.
+_SUB_EXPLAINER_OF_PARAM = {
+    "charger_connected": "mode",
+    "joystick_enabled": "mode",
+    "max_speed": "motion",
+    "localization_covariance": "motion",
+}
 
 DISCARD_PHRASES = (
     "Controller loop",
@@ -77,7 +88,12 @@ def filter_logs(lines: list[str]) -> list[str]:
         current = reduced
 
 
-_CATALOGUE = "\n".join(f'- if the evidence mentions "{m}": {s}' for m, s in NAVIGATION_SITUATIONS)
+# (owning sub-explainer, prompt line) of each known situation, in catalogue order
+_CATALOGUE_LINES = tuple(
+    (sub, f'- if the evidence mentions "{m}": {s}')
+    for sub, (m, s) in zip(NAVIGATION_SUB_EXPLAINERS, NAVIGATION_SITUATIONS, strict=True)
+)
+_CATALOGUE = "\n".join(line for _, line in _CATALOGUE_LINES)
 
 
 def situation_catalogue() -> str:
@@ -85,23 +101,34 @@ def situation_catalogue() -> str:
     return _CATALOGUE
 
 
+def _sub_explainer_of(name: object) -> str | None:
+    # a malformed trace may name a param with a list, which names no param
+    return _SUB_EXPLAINER_OF_PARAM.get(name) if isinstance(name, str) else None
+
+
 def _navigation_evidence(events: EventView) -> str:
-    """The navigation prompt up to its query."""
+    """The navigation prompt up to its query, with the selected catalogue slice."""
     log_lines: list[str] = []
     params: list[str] = []
+    selected: set[str] = set()
     try:
         for e in events:
             if e.kind == "log":
                 if e.source == "navigation":
                     log_lines.append(str(e.payload.get("text", "")))
-            elif e.kind == "param" and e.payload.get("name") in _RELEVANT_PARAMS:
-                params.append(f"- {e.payload['name']} = {e.payload['value']}")
+            elif e.kind == "param":
+                sub_explainer = _sub_explainer_of(e.payload.get("name"))
+                if sub_explainer is not None:
+                    params.append(f"- {e.payload['name']} = {e.payload['value']}")
+                    selected.add(sub_explainer)
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
+    # path's situations show only in log lines, so no param selects it
+    selected = selected or {"path"}
     return _TEMPLATE.format(
         logs=indent_headers("\n".join(filter_logs(log_lines))) or "(no navigation logs)",
         params=indent_headers("\n".join(params)) or "(none)",
-        situation_catalogue=situation_catalogue(),
+        situation_catalogue="\n".join(line for sub, line in _CATALOGUE_LINES if sub in selected),
     )
 
 

@@ -10,10 +10,12 @@ comparisons are deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
 import urllib.parse
+from collections.abc import Iterable
 from importlib import resources
 from typing import NamedTuple
 
@@ -24,6 +26,7 @@ _CF_LINE = re.compile(
     r"If \2 = (.+?), (\w+) would have occurred instead\."
 )
 _PLAN_TARGET = re.compile(r"location=([a-z ]+)\)")
+_CATALOGUE_LINE = re.compile(r'^- if the evidence mentions "(.+?)": (.+)$', re.M)
 
 
 class ReasonerError(RuntimeError):
@@ -122,8 +125,22 @@ _KEYWORDS = tuple(
 )
 _SITUATIONS = json.loads(read_package_data("situations.json"))
 NAVIGATION_SITUATIONS = _situations_in(_SITUATIONS, ("navigation",))
+# the navigation sub-explainer that owns each of NAVIGATION_SITUATIONS, in order
+NAVIGATION_SUB_EXPLAINERS = tuple(
+    e["sub_explainer"] for e in _SITUATIONS if e["scope"] == "navigation"
+)
 _EVIDENCE_SITUATIONS = _situations_in(_SITUATIONS, ("navigation", "help", "tts", "pizza"))
 _CF_PHRASINGS = json.loads(read_package_data("counterfactual_phrasings.json"))
+
+
+@functools.lru_cache(maxsize=16)
+def _listed_situations(catalogue: str) -> tuple[tuple[str, str], ...]:
+    """The (marker, sentence) pairs a ``## Known situations`` section lists, in order.
+
+    Parsed once per distinct section text: a navigation prompt carries one of
+    a few catalogue slices.
+    """
+    return tuple(_CATALOGUE_LINE.findall(catalogue))
 
 
 class RuleReasoner(TextReasoner):
@@ -131,7 +148,9 @@ class RuleReasoner(TextReasoner):
 
     Pattern-matches the structured sections of each known prompt family and
     emits the catalogue sentence for the matched situation. Raises
-    :class:`NoMatchError` instead of fabricating an answer.
+    :class:`NoMatchError` instead of fabricating an answer. A navigation
+    prompt is answered only from the situations its ``## Known situations``
+    section lists.
 
     Each prompt is split into sections once (:func:`_sections`): a section
     header is a whole line ``## name``, and the first section of a name wins.
@@ -177,12 +196,12 @@ class RuleReasoner(TextReasoner):
         return "planner"
 
     @staticmethod
-    def _matches(text: str, situations: list[tuple[str, str]]) -> list[str]:
+    def _matches(text: str, situations: Iterable[tuple[str, str]]) -> list[str]:
         return [sentence for marker, sentence in situations if marker in text]
 
     def _navigation(self, sections: dict[str, str]) -> str:
         evidence = sections["Navigation logs"] + "\n" + sections.get("Robot parameters", "")
-        matched = self._matches(evidence, NAVIGATION_SITUATIONS)
+        matched = self._matches(evidence, _listed_situations(sections.get("Known situations", "")))
         if not matched:
             raise NoMatchError("no known navigation situation matches the evidence")
         return matched[0]

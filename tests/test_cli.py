@@ -210,6 +210,50 @@ def test_explain_trace_text_cannot_open_a_prompt_section(tmp_path, capsys, metho
     assert strip_time(out) == strip_time(plain)
 
 
+_PATH_QUERY = "Why did you keep changing your path?"
+
+
+def _with_param(tmp_path, capsys, name):
+    """The seed-0 scenario-9 (replanning) trace, and a copy with a ``system`` param named ``name``."""
+    plain = tmp_path / "s9.jsonl"
+    main(["simulate", "--scenario", "9", "--task", "1", "--seed", "0", "--out", str(plain)])
+    capsys.readouterr()
+    lines = plain.read_text(encoding="utf-8").splitlines(keepends=True)
+    plan_ts = json.loads(lines[1])["ts"]
+    param = {"ts": plan_ts, "source": "system", "kind": "param", "payload": {"name": name, "value": 0.5}}
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(lines[:2] + [json.dumps(param) + "\n"] + lines[2:]), encoding="utf-8")
+    return plain, edited
+
+
+@pytest.mark.parametrize("method", ["hexar", "end-to-end", "all-components"])
+def test_explain_ignores_a_param_named_by_a_list(tmp_path, capsys, method):
+    """A param whose name is a list names no navigation param: the answer does not move."""
+    plain, edited = _with_param(tmp_path, capsys, ["max_speed"])
+    args = ["explain", "--method", method, "--query", _PATH_QUERY, "--trace"]
+    code, out, err = run(args + [str(edited)], capsys)
+    _, expected, _ = run(args + [str(plain)], capsys)
+    assert code == 0
+    assert "forced the robot to replan" in out
+    assert strip_time(out) == strip_time(expected)
+    assert "Traceback" not in err
+
+
+def test_explain_refuses_when_the_selected_slice_lists_no_match(tmp_path, capsys):
+    """A charger param selects the mode slice, which does not list replanning.
+
+    The rule reasoner answers only from the situations a prompt lists, so it
+    refuses rather than name a situation it was not shown: exit 3.
+    """
+    _, edited = _with_param(tmp_path, capsys, "charger_connected")
+    args = ["explain", "--query", _PATH_QUERY, "--trace", str(edited)]
+    code, out, err = run(args, capsys)
+    assert code == 3
+    assert out.strip() == FAILURE_REPLY
+    assert "NoMatchError" in err
+    assert "Traceback" not in err
+
+
 def test_explain_all_components_lists_contributors(charger_trace, capsys):
     code, out, _ = run(
         [

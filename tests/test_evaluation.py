@@ -251,7 +251,7 @@ def test_seed_0_grid_output_fingerprint_is_pinned():
             .encode()
         )
     assert digest.hexdigest() == (
-        "1290743aa1806ef1e9847a8167f7ce65a0ad9b8c087b5b46944ba3ed46130541"
+        "fca5ff1c9d462e48343ad2d71f960b7e8aae7373a1177830a6643771187f42c3"
     )
 
 

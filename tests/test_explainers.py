@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,8 @@ from hexar.explainers.pizza import explain_pizza
 from hexar.explainers.planner import build_planner_prompt, explain_planner
 from hexar.explainers.tts import NO_PROBLEM_TEMPLATE, explain_tts
 from hexar.framework import explain_hexar
-from hexar.trace import EventView, Query
+from hexar.reasoner import _sections, read_package_data
+from hexar.trace import Event, EventView, Query
 
 
 def _events(trace, sources):
@@ -200,6 +204,48 @@ def test_navigation_prompt_contains_catalogue_params_and_query(trace_cache):
     assert "## Known situations" in prompt
     assert "charger_connected = True" in prompt
     assert query.text in prompt
+
+
+# the sub-explainer whose catalogue slice each navigation scenario's prompt carries
+_SUB_EXPLAINER_OF_SCENARIO = {5: "path", 6: "mode", 7: "mode", 8: "motion", 9: "path", 10: "motion"}
+
+
+def _catalogue_lines(*sub_explainers):
+    """The situation lines the given sub-explainers own, in ``situations.json`` order."""
+    return [
+        f'- if the evidence mentions "{e["marker"]}": {e["sentence"]}'
+        for e in json.loads(read_package_data("situations.json"))
+        if e["scope"] == "navigation" and e["sub_explainer"] in sub_explainers
+    ]
+
+
+def _known_situations(events):
+    prompt = build_navigation_prompt(Query("What happened?", 0.0), events)
+    return _sections(prompt)["Known situations"].split("\n")
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_SUB_EXPLAINER_OF_SCENARIO))
+def test_navigation_prompt_carries_the_slice_its_params_select(
+    trace_cache, specs_by_id, scenario_id
+):
+    expected = _catalogue_lines(_SUB_EXPLAINER_OF_SCENARIO[scenario_id])
+    assert len(expected) == 2
+    marker = specs_by_id[scenario_id].ground_truth.root_cause
+    assert sum(f'"{marker}"' in line for line in expected) == 1
+    for seed in range(5):
+        for variant in (1, 2, 3):
+            trace = trace_cache(scenario_id, variant, seed)
+            assert _known_situations(_nav_events(trace)) == expected, (seed, variant)
+
+
+def test_params_of_two_sub_explainers_give_the_union_of_their_slices(trace_cache, rule_reasoner):
+    trace = trace_cache(7)
+    speed = Event(trace.events[-1].ts, "system", "param", {"name": "max_speed", "value": 0.3})
+    events = EventView([*_nav_events(trace), speed])
+    assert _known_situations(events) == _catalogue_lines("mode", "motion")
+    assert len(_catalogue_lines("mode", "motion")) == 4
+    text = explain_navigation(Query("Why?", 0.0), trace.context, events, rule_reasoner)
+    assert "plugged into its charger" in text
 
 
 # -- default registry --------------------------------------------------------

@@ -28,7 +28,14 @@ from hexar.framework import (
     explain_hexar,
     select,
 )
-from hexar.reasoner import ReasonerResponse, TextReasoner, _sections, load_prompt_template
+from hexar.reasoner import (
+    NAVIGATION_SITUATIONS,
+    NAVIGATION_SUB_EXPLAINERS,
+    ReasonerResponse,
+    TextReasoner,
+    _sections,
+    load_prompt_template,
+)
 from hexar.scenarios import (
     N_SCENARIOS,
     N_TASK_VARIANTS,
@@ -379,6 +386,15 @@ _QUERY_PIECES = st.sampled_from(
 _EXPLANATIONS = ["The charger was connected.", "I did not detect any speech problem."]
 
 
+# the navigation sub-explainer each navigation param selects
+_NAV_PARAMS = {
+    "charger_connected": "mode",
+    "joystick_enabled": "mode",
+    "localization_covariance": "motion",
+    "max_speed": "motion",
+}
+
+
 def _reference_fields(name, trace, registry):
     """Every field of prompt template ``name``, rendered from scratch."""
     if name == "classifier":
@@ -403,15 +419,19 @@ def _reference_fields(name, trace, registry):
             for e in events
             if e.kind == "log" and e.source == "navigation"
         ]
-        params = [
-            f"- {e.payload['name']} = {e.payload['value']}"
-            for e in events
-            if e.kind == "param" and e.payload.get("name") in navigation._RELEVANT_PARAMS
+        shown = [
+            e.payload for e in events if e.kind == "param" and e.payload.get("name") in _NAV_PARAMS
+        ]
+        selected = {_NAV_PARAMS[p["name"]] for p in shown} or {"path"}
+        catalogue = [
+            f'- if the evidence mentions "{marker}": {sentence}'
+            for sub, (marker, sentence) in zip(NAVIGATION_SUB_EXPLAINERS, NAVIGATION_SITUATIONS)
+            if sub in selected
         ]
         return dict(
             logs="\n".join(filter_logs(logs)) or "(no navigation logs)",
-            params="\n".join(params) or "(none)",
-            situation_catalogue=situation_catalogue(),
+            params="\n".join(f"- {p['name']} = {p['value']}" for p in shown) or "(none)",
+            situation_catalogue="\n".join(catalogue),
         )
     sources = frozenset().union(*(e.subscribed_sources for e in registry.explainers.values()))
     sections = {"log": [], "skill_status": [], "param": [], "other": []}

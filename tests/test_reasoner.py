@@ -27,6 +27,7 @@ from hexar.explainers.planner import build_planner_prompt
 from hexar.framework import build_aggregation_prompt
 from hexar.reasoner import (
     NAVIGATION_SITUATIONS,
+    NAVIGATION_SUB_EXPLAINERS,
     LatencyModelReasoner,
     NoMatchError,
     ReasonerError,
@@ -160,6 +161,9 @@ def test_situation_catalogue_lists_the_reasoners_navigation_situations():
     entries = json.loads((package / "data" / "situations.json").read_text("utf-8"))
     expected = [(e["marker"], e["sentence"]) for e in entries if e["scope"] == "navigation"]
     assert list(NAVIGATION_SITUATIONS) == expected
+    assert NAVIGATION_SUB_EXPLAINERS == tuple(
+        e["sub_explainer"] for e in entries if e["scope"] == "navigation"
+    )
     assert situation_catalogue().split("\n") == [
         f'- if the evidence mentions "{marker}": {sentence}' for marker, sentence in expected
     ]
@@ -170,6 +174,26 @@ def test_situation_catalogue_is_built_once(monkeypatch):
     monkeypatch.setattr(reasoner_module, "read_package_data", _unreadable)
     monkeypatch.setattr(navigation, "NAVIGATION_SITUATIONS", ())
     assert situation_catalogue() is catalogue
+
+
+@pytest.mark.parametrize("scenario_id", range(5, 11))
+def test_navigation_is_answered_only_from_the_listed_situations(
+    rule_reasoner, registry, specs_by_id, trace_cache, scenario_id
+):
+    """The whole catalogue gives the slice's answer; without the matching line, a refusal."""
+    trace = trace_cache(scenario_id)
+    events = trace.by_source(registry.explainers["navigation"].subscribed_sources)
+    prompt = build_navigation_prompt(Query("What happened?", 0.0), events)
+    listed = _sections(prompt)["Known situations"]
+    marker = specs_by_id[scenario_id].ground_truth.root_cause
+    answer = rule_reasoner.complete_text("sys", prompt).text
+    assert answer == dict(NAVIGATION_SITUATIONS)[marker]
+
+    whole = prompt.replace(listed, situation_catalogue())
+    assert rule_reasoner.complete_text("sys", whole).text == answer
+    others = [line for line in situation_catalogue().split("\n") if f'"{marker}"' not in line]
+    with pytest.raises(NoMatchError):
+        rule_reasoner.complete_text("sys", prompt.replace(listed, "\n".join(others)))
 
 
 def test_every_package_data_file_is_read_once_per_process():
@@ -214,6 +238,7 @@ SECTION_NAMES = (
     "Query",
     "Navigation logs",
     "Robot parameters",
+    "Known situations",
     "Grounding errors",
     "Skill statuses",
     "Instruction",
