@@ -3,18 +3,22 @@
 The help skill runs a fixed state machine: detect a person, approach them,
 ask for help, wait for confirmation. Each stage is modelled as a gate over
 an execution variable; explanations answer "why this outcome and not
-success" with a minimal single-variable intervention.
+success" with a minimal single-variable intervention. A failed outcome is
+answered with its phrasing from ``counterfactual_phrasings.json``, filled
+with the intervention's observed and boundary values; no answer calls the
+reasoner.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple
 
 from ..framework import ExplainerError
-from ..reasoner import ReasonerError, TextReasoner, indent_headers
+from ..reasoner import TextReasoner, read_package_data
 from ..stats import sample_variance
 from ..trace import ContextVector, Event, EventView, Query
 
@@ -27,6 +31,10 @@ VAR_MAX = 0.25  # position variance (m^2) considered socially fine
 COUNTERFACTUAL_TEMPLATE = (
     "{Y} occurred because {X} = {x}. If {X} = {x_star}, {Y_star} would have occurred instead."
 )
+
+# The answer to each failed outcome, by outcome value, parsed once per process:
+# ``{x}`` is the failed gate's observed value and ``{x_star}`` its boundary.
+_PHRASINGS = json.loads(read_package_data("counterfactual_phrasings.json"))
 
 
 class HelpOutcome(str, Enum):
@@ -229,40 +237,33 @@ def counterfactual(v: HelpVariables) -> CounterfactualResult:
     return CounterfactualResult(realized, gate.variable, observed, gate.passing_value, resulting)
 
 
+def _fmt(value: object) -> str:
+    if isinstance(value, HelpResponse):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "absent"
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return str(value)
+
+
 def render_counterfactual(result: CounterfactualResult) -> str:
     """Fill the fixed counterfactual sentence template."""
-
-    def fmt(value: object) -> str:
-        if isinstance(value, HelpResponse):
-            return value.value
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if value is None:
-            return "absent"
-        if isinstance(value, float):
-            return f"{value:.2f}"
-        return str(value)
-
     return COUNTERFACTUAL_TEMPLATE.format(
         Y=result.realized.value,
         X=result.variable,
-        x=fmt(result.observed),
-        x_star=fmt(result.intervention),
+        x=_fmt(result.observed),
+        x_star=_fmt(result.intervention),
         Y_star=result.resulting.value,
     )
 
 
-def _naturalise_prompt(sentence: str, v: HelpVariables) -> str:
-    return (
-        "Rephrase the following counterfactual finding about the ask-human-for-help "
-        "skill as one natural sentence addressed to the user. Keep every fact; add none.\n"
-        "## Counterfactual\n"
-        f"{indent_headers(sentence)}\n"
-        "## Variables\n"
-        f"n_humans = {v.n_humans}\n"
-        f"min_distance = {'absent' if v.min_distance is None else f'{v.min_distance:.2f}'}\n"
-        f"detection_duration = {v.detection_duration:.2f}\n"
-        f"thresholds: d_max = {D_MAX:.2f}, t_stable = {T_STABLE:.2f}\n"
+def phrase_counterfactual(result: CounterfactualResult) -> str:
+    """The realised outcome's phrasing, filled with the values the template shows."""
+    return _PHRASINGS[result.realized.value].format(
+        x=_fmt(result.observed), x_star=_fmt(result.intervention)
     )
 
 
@@ -274,41 +275,34 @@ def _approach_replans(events: tuple[Event, ...]) -> int:
     )
 
 
-def _help_evidence(events: EventView) -> tuple[str, str | None]:
-    """The answer's query-independent part, as ``(text, prompt)``.
-
-    On a failed outcome ``text`` is the counterfactual sentence and
-    ``prompt`` asks the reasoner to naturalise it; otherwise ``text`` is the
-    templated answer and ``prompt`` is None.
-    """
+def _help_evidence(events: EventView) -> str:
     if not any(e.source == "ask_human_for_help" for e in events):
-        return "The ask-human-for-help skill was not used in this task.", None
+        return "The ask-human-for-help skill was not used in this task."
 
     try:
         v = extract_variables(events)
     except (TypeError, ValueError, OverflowError) as exc:  # payload values from the trace file
         raise ExplainerError(str(exc)) from exc
     if evaluate_model(v) is not HelpOutcome.SUCCESS:
-        sentence = render_counterfactual(counterfactual(v))
-        return sentence, _naturalise_prompt(sentence, v)
+        return phrase_counterfactual(counterfactual(v))
 
     if v.detection_variance > VAR_MAX:
         return (
             "I completed the task, but I may have approached the person poorly "
             "due to high variance in the person's detection "
             f"({v.detection_variance:.2f} m² against a tolerance of {VAR_MAX:.2f} m²)."
-        ), None
+        )
     replans = _approach_replans(events)
     if replans > 0:
         times = "once" if replans == 1 else f"{replans} times"
         return (
             "I completed the task, but I may have approached the person poorly: "
             f"my approach path was replanned around obstacles {times} during the approach."
-        ), None
+        )
     return (
         "I asked a person for help and they assisted me; "
         "the ask-human-for-help skill completed normally."
-    ), None
+    )
 
 
 def explain_help(
@@ -317,19 +311,8 @@ def explain_help(
     events: EventView,
     reasoner: TextReasoner,
 ) -> str:
-    """Counterfactual explanation on failure, templated answer otherwise.
+    """Counterfactual phrasing on failure, templated answer otherwise.
 
-    The counterfactual and its prompt are built once per event view; each
-    call on a failed outcome still asks the reasoner to naturalise it.
+    The answer depends on the events alone: found once per event view.
     """
-    text, prompt = events.derived(_help_evidence)
-    if prompt is None:
-        return text
-    try:
-        return reasoner.complete_text(
-            system_prompt="You turn structured robot findings into plain language.",
-            user_prompt=prompt,
-        ).text
-    except ReasonerError:
-        # the raw counterfactual sentence still answers the question
-        return f"{text} [counterfactual template; naturalisation unavailable]"
+    return events.derived(_help_evidence)

@@ -7,11 +7,15 @@ navigation situations the reasoner may recognise.
 Navigation is one level of hierarchy: three sub-explainers each own a slice
 of the situation catalogue. ``mode`` holds the charger and joystick,
 ``motion`` bad localisation and the speed limit, and ``path`` the static
-obstacle and replanning. The slice is picked from the names of the
-navigation params the trace sets, never from the catalogue's markers, and
-without a reasoner call. A trace that sets none gets ``path``; params of two
-sub-explainers give the union of their slices, in catalogue order. The
-end-to-end baseline keeps the whole catalogue (:func:`situation_catalogue`).
+obstacle and replanning. The slice is picked from the navigation params the
+trace sets, never from the catalogue's markers, and without a reasoner call.
+A motion param selects ``motion`` whatever its value; a mode param selects
+``mode`` only when its value is ``true``, since a charger that is not
+connected or a joystick that is off overrides nothing. Every navigation
+param is listed in the prompt either way. A trace whose params select none
+gets ``path``; params of two sub-explainers give the union of their slices,
+in catalogue order. The end-to-end baseline keeps the whole catalogue
+(:func:`situation_catalogue`).
 """
 
 from __future__ import annotations
@@ -119,8 +123,11 @@ def _navigation_evidence(events: EventView) -> str:
             elif e.kind == "param":
                 sub_explainer = _sub_explainer_of(e.payload.get("name"))
                 if sub_explainer is not None:
-                    params.append(f"- {e.payload['name']} = {e.payload['value']}")
-                    selected.add(sub_explainer)
+                    value = e.payload["value"]
+                    params.append(f"- {e.payload['name']} = {value}")
+                    # a charger not connected or a joystick off overrides nothing
+                    if sub_explainer != "mode" or value is True:
+                        selected.add(sub_explainer)
     except KeyError as exc:
         raise ExplainerError(f"param event without a {exc} field") from exc
     # path's situations show only in log lines, so no param selects it

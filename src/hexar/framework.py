@@ -45,9 +45,11 @@ ANSWER_ERRORS = (TraceError, SelectionError, ExplainerError, ReasonerError)
 class ReasonerMeter(TextReasoner):
     """Counts an answer's reasoner calls and modelled latency.
 
-    Every attempted completion counts as a call, also one that raises; the
-    modelled ``latency`` of each response that comes back is summed. The
-    measured clock starts when the meter is created.
+    Every attempted completion counts as a call, also one that raises. The
+    modelled ``latency`` of each response that comes back is summed, and a
+    call that raises a :class:`ReasonerError` is billed the inner reasoner's
+    :meth:`~TextReasoner.modelled_latency`, as an endpoint charges for a
+    refusal too. The measured clock starts when the meter is created.
     """
 
     def __init__(self, inner: TextReasoner) -> None:
@@ -58,9 +60,16 @@ class ReasonerMeter(TextReasoner):
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         self.calls += 1
-        response = self.inner.complete(request)
+        try:
+            response = self.inner.complete(request)
+        except ReasonerError:
+            self.latency += self.inner.modelled_latency(request)
+            raise
         self.latency += response.latency
         return response
+
+    def modelled_latency(self, request: ReasonerRequest) -> float:
+        return self.inner.modelled_latency(request)
 
     def explanation(self, text: str, produced_by: str) -> Explanation:
         """The answer, billed with every call so far and measured plus modelled time."""

@@ -21,10 +21,6 @@ from typing import NamedTuple
 
 KNOWN_LOCATIONS = ("living room", "kitchen", "bedroom", "bathroom", "hallway")
 
-_CF_LINE = re.compile(
-    r"(\w+) occurred because (\w+) = (.+?)\. "
-    r"If \2 = (.+?), (\w+) would have occurred instead\."
-)
 _PLAN_TARGET = re.compile(r"location=([a-z ]+)\)")
 _CATALOGUE_LINE = re.compile(r'^- if the evidence mentions "(.+?)": (.+)$', re.M)
 
@@ -59,6 +55,13 @@ class TextReasoner:
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         raise NotImplementedError
+
+    def modelled_latency(self, request: ReasonerRequest) -> float:
+        """Modelled seconds a completion of ``request`` costs, also one that raises.
+
+        0 unless latency is modelled (:class:`LatencyModelReasoner`).
+        """
+        return 0.0
 
     def complete_text(
         self, system_prompt: str, user_prompt: str, max_tokens: int = 512
@@ -130,7 +133,6 @@ NAVIGATION_SUB_EXPLAINERS = tuple(
     e["sub_explainer"] for e in _SITUATIONS if e["scope"] == "navigation"
 )
 _EVIDENCE_SITUATIONS = _situations_in(_SITUATIONS, ("navigation", "help", "tts", "pizza"))
-_CF_PHRASINGS = json.loads(read_package_data("counterfactual_phrasings.json"))
 
 
 @functools.lru_cache(maxsize=16)
@@ -171,8 +173,6 @@ class RuleReasoner(TextReasoner):
             text = self._classify(sections)
         elif "Explanations to merge" in sections:
             text = self._aggregate(sections)
-        elif "Counterfactual" in sections:
-            text = self._naturalise(sections)
         elif "All recorded information" in sections:
             text = self._end_to_end(sections)
         elif "Navigation logs" in sections:
@@ -258,16 +258,6 @@ class RuleReasoner(TextReasoner):
             raise NoMatchError("no known situation matches the recorded information")
         return " ".join(parts)
 
-    def _naturalise(self, sections: dict[str, str]) -> str:
-        match = _CF_LINE.search(sections["Counterfactual"])
-        if not match:
-            raise NoMatchError("counterfactual sentence does not parse")
-        outcome, _, observed, boundary, _ = match.groups()
-        phrasing = _CF_PHRASINGS.get(outcome)
-        if phrasing is None:
-            raise NoMatchError(f"no phrasing for outcome {outcome!r}")
-        return phrasing.format(x=observed, x_star=boundary)
-
     def _aggregate(self, sections: dict[str, str]) -> str:
         seen: list[str] = []
         for line in sections["Explanations to merge"].splitlines():
@@ -352,7 +342,9 @@ class LatencyModelReasoner(TextReasoner):
 
     The latency is virtual (never slept): ``SECONDS_PER_CALL`` plus
     ``SECONDS_PER_100_CHARS`` per 100 prompt characters, so both extra
-    calls and large-context prompts cost measurably more.
+    calls and large-context prompts cost measurably more. A refused call
+    costs the same; :class:`~hexar.framework.ReasonerMeter` bills it from
+    :meth:`modelled_latency`, since no response carries it.
     """
 
     def __init__(self, inner: TextReasoner) -> None:
@@ -360,11 +352,11 @@ class LatencyModelReasoner(TextReasoner):
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         response = self.inner.complete(request)
+        return ReasonerResponse(text=response.text, latency=self.modelled_latency(request))
+
+    def modelled_latency(self, request: ReasonerRequest) -> float:
         chars = len(request.system_prompt) + len(request.user_prompt)
-        return ReasonerResponse(
-            text=response.text,
-            latency=SECONDS_PER_CALL + SECONDS_PER_100_CHARS * chars / 100.0,
-        )
+        return SECONDS_PER_CALL + SECONDS_PER_100_CHARS * chars / 100.0
 
 
 def make_reasoner(kind: str) -> TextReasoner:

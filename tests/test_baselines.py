@@ -115,7 +115,7 @@ def test_all_components_counts_attempted_calls(registry, rule_reasoner, trace_ca
 def test_call_count_ordering_per_point(registry, rule_reasoner, specs_by_id, trace_cache):
     from hexar.scenarios import grid_triples
 
-    reasoner_backed = 3  # planner, navigation and the help naturalisation
+    reasoner_backed = 2  # planner and navigation
     for scenario_id, variant, query_index in grid_triples():
         trace = trace_cache(scenario_id, variant)
         query = Query(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -21,9 +24,11 @@ from hexar.explainers.help_causal import (
     evaluate_model,
     explain_help,
     extract_variables,
+    phrase_counterfactual,
     render_counterfactual,
 )
 from hexar.framework import explain_hexar
+from hexar.reasoner import ReasonerError, TextReasoner, read_package_data
 from hexar.simulate import generate_trace, replay_fsm
 from hexar.trace import ContextVector, Event, EventView, Query, TaskPlan, Trace
 
@@ -267,9 +272,9 @@ def test_explain_help_no_human(trace_cache, registry, rule_reasoner):
     text = explain_help(Query("What happened?", 100.0), _context(), help_events(trace), rule_reasoner)
     assert "did not detect anybody" in text
     assert "if at least one person had been present" in text
-    # the failure heuristic selects; the naturalisation is the one call
+    # the failure heuristic selects and the phrasing needs no call
     hexar = _hexar(trace, "What happened?", registry, rule_reasoner)
-    assert (hexar.text, hexar.reasoner_calls) == (text, 1)
+    assert (hexar.text, hexar.reasoner_calls) == (text, 0)
 
 
 def test_explain_help_high_variance_is_templated(trace_cache, registry, rule_reasoner):
@@ -311,14 +316,76 @@ def test_explain_help_without_events_reports_unused(rule_reasoner):
     assert "was not used" in text
 
 
-def test_explain_help_falls_back_to_template_on_reasoner_failure(trace_cache):
-    from hexar.reasoner import ReasonerError, TextReasoner
+# -- the phrasing oracle -------------------------------------------------------
 
-    class BrokenReasoner(TextReasoner):
-        def complete(self, request):
-            raise ReasonerError("endpoint down")
+# How the rule reasoner once phrased a failed outcome: it parsed the rendered
+# counterfactual sentence back and filled the outcome's phrasing with the
+# values as the sentence showed them.
+_CF_LINE = re.compile(
+    r"(\w+) occurred because (\w+) = (.+?)\. "
+    r"If \2 = (.+?), (\w+) would have occurred instead\."
+)
 
-    events = help_events(trace_cache(12))
-    text = explain_help(Query("Why?", 100.0), _context(), events, BrokenReasoner())
-    assert "human_too_far occurred because min_distance" in text
-    assert "naturalisation unavailable" in text
+
+def _phrasing_oracle(result: CounterfactualResult) -> str:
+    outcome, _, observed, boundary, _ = _CF_LINE.search(render_counterfactual(result)).groups()
+    phrasings = json.loads(read_package_data("counterfactual_phrasings.json"))
+    return phrasings[outcome].format(x=observed, x_star=boundary)
+
+
+# variables whose first failing gate is each failure outcome
+_FAILING = {
+    HelpOutcome.NO_HUMAN_FOUND: dict(n_humans=0, min_distance=None, detection_duration=0.0),
+    HelpOutcome.HUMAN_TOO_FAR: dict(min_distance=4.137),
+    HelpOutcome.UNSTABLE_DETECTION: dict(detection_duration=1.254),
+    HelpOutcome.APPROACH_FAILED: dict(path_feasible=False),
+    HelpOutcome.HELP_REFUSED: dict(response=HelpResponse.REFUSE),
+    HelpOutcome.NO_CONFIRMATION: dict(confirmation=False),
+}
+
+
+@pytest.mark.parametrize(
+    "outcome", [o for o in HelpOutcome if o is not HelpOutcome.SUCCESS], ids=lambda o: o.value
+)
+def test_help_phrasing_formats_the_counterfactual(outcome):
+    result = counterfactual(passing_variables(**_FAILING[outcome]))
+    assert result.realized is outcome
+    assert phrase_counterfactual(result) == _phrasing_oracle(result)
+
+
+def test_help_phrasing_fills_both_values():
+    result = counterfactual(passing_variables(min_distance=4.1))
+    text = phrase_counterfactual(result)
+    assert "too far away to ask for help" in text
+    assert "(4.10 m away, my limit is 3.00 m)" in text
+    assert "within 3.00 m" in text
+    unmeasured = counterfactual(passing_variables(min_distance=None))
+    assert "(absent m away, my limit is 3.00 m)" in phrase_counterfactual(unmeasured)
+    assert phrase_counterfactual(unmeasured) == _phrasing_oracle(unmeasured)
+
+
+class _Raising(TextReasoner):
+    def complete(self, request):
+        raise ReasonerError("no reasoner here")
+
+
+# sha256 over the help answers of scenarios 11-18, variants 1-3, seeds 0-4,
+# one line each, as the rule reasoner once phrased the failed ones
+HELP_ANSWERS_AT_SEEDS_0_TO_4 = "9b0d98b15c919b8cc2bb4210784a48335a4432996f2b58945f1d87a186e2def4"
+
+
+def test_help_answers_need_no_reasoner_over_the_seed_0_to_4_grids():
+    digest = hashlib.sha256()
+    failed = 0
+    for seed in range(5):
+        for scenario_id in range(11, 19):
+            for variant in (1, 2, 3):
+                events = help_events(generate_trace(scenario_id, variant, seed))
+                text = explain_help(Query("Why?", 100.0), _context(), events, _Raising())
+                v = extract_variables(events)
+                if evaluate_model(v) is not HelpOutcome.SUCCESS:
+                    assert text == _phrasing_oracle(counterfactual(v))
+                    failed += 1
+                digest.update(text.encode() + b"\n")
+    assert failed == 90
+    assert digest.hexdigest() == HELP_ANSWERS_AT_SEEDS_0_TO_4

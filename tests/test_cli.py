@@ -213,14 +213,14 @@ def test_explain_trace_text_cannot_open_a_prompt_section(tmp_path, capsys, metho
 _PATH_QUERY = "Why did you keep changing your path?"
 
 
-def _with_param(tmp_path, capsys, name):
-    """The seed-0 scenario-9 (replanning) trace, and a copy with a ``system`` param named ``name``."""
+def _with_param(tmp_path, capsys, name, value=0.5):
+    """The seed-0 scenario-9 (replanning) trace, and a copy with a ``system`` param ``name = value``."""
     plain = tmp_path / "s9.jsonl"
     main(["simulate", "--scenario", "9", "--task", "1", "--seed", "0", "--out", str(plain)])
     capsys.readouterr()
     lines = plain.read_text(encoding="utf-8").splitlines(keepends=True)
     plan_ts = json.loads(lines[1])["ts"]
-    param = {"ts": plan_ts, "source": "system", "kind": "param", "payload": {"name": name, "value": 0.5}}
+    param = {"ts": plan_ts, "source": "system", "kind": "param", "payload": {"name": name, "value": value}}
     edited = tmp_path / "edited.jsonl"
     edited.write_text("".join(lines[:2] + [json.dumps(param) + "\n"] + lines[2:]), encoding="utf-8")
     return plain, edited
@@ -239,13 +239,25 @@ def test_explain_ignores_a_param_named_by_a_list(tmp_path, capsys, method):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["hexar", "end-to-end", "all-components"])
+def test_explain_a_disconnected_charger_keeps_the_path_slice(tmp_path, capsys, method):
+    """``charger_connected = false`` overrides nothing: replanning is still answered."""
+    plain, edited = _with_param(tmp_path, capsys, "charger_connected", False)
+    assert '"value": false' in edited.read_text(encoding="utf-8")
+    args = ["explain", "--method", method, "--query", _PATH_QUERY, "--trace"]
+    code, out, err = run(args + [str(edited)], capsys)
+    assert code == 0, err
+    assert "forced the robot to replan" in out
+    assert "plugged into its charger" not in out
+
+
 def test_explain_refuses_when_the_selected_slice_lists_no_match(tmp_path, capsys):
-    """A charger param selects the mode slice, which does not list replanning.
+    """A connected charger selects the mode slice, which does not list replanning.
 
     The rule reasoner answers only from the situations a prompt lists, so it
     refuses rather than name a situation it was not shown: exit 3.
     """
-    _, edited = _with_param(tmp_path, capsys, "charger_connected")
+    _, edited = _with_param(tmp_path, capsys, "charger_connected", True)
     args = ["explain", "--query", _PATH_QUERY, "--trace", str(edited)]
     code, out, err = run(args, capsys)
     assert code == 3

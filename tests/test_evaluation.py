@@ -251,7 +251,7 @@ def test_seed_0_grid_output_fingerprint_is_pinned():
             .encode()
         )
     assert digest.hexdigest() == (
-        "fca5ff1c9d462e48343ad2d71f960b7e8aae7373a1177830a6643771187f42c3"
+        "57137f665fdff343dff510d28e790a364be562194c368bfee9de2f844eabd061"
     )
 
 
@@ -521,7 +521,7 @@ def test_seed_0_results_csv_bytes_are_pinned(tmp_path, rule_reasoner_module):
     data = path.read_bytes()
     assert len(data) == 173560
     assert hashlib.sha256(data).hexdigest() == (
-        "0a6093c6af5bd99c0c5c24af6add7e74e3800037ed545da375ce0862244218b1"
+        "823171fc2acf99a2f860fa3137e5553fb10086178187e9f5549df1178ce4c048"
     )
 
 

@@ -364,7 +364,6 @@ _HEADERS = (
     "Query",
     "Candidate explainers",
     "Explanations to merge",
-    "Counterfactual",
     "All recorded information",
     "Navigation logs",
     "Robot parameters",
@@ -422,7 +421,11 @@ def _reference_fields(name, trace, registry):
         shown = [
             e.payload for e in events if e.kind == "param" and e.payload.get("name") in _NAV_PARAMS
         ]
-        selected = {_NAV_PARAMS[p["name"]] for p in shown} or {"path"}
+        selected = {
+            _NAV_PARAMS[p["name"]]
+            for p in shown
+            if _NAV_PARAMS[p["name"]] != "mode" or p["value"] is True
+        } or {"path"}
         catalogue = [
             f'- if the evidence mentions "{marker}": {sentence}'
             for sub, (marker, sentence) in zip(NAVIGATION_SUB_EXPLAINERS, NAVIGATION_SITUATIONS)

@@ -21,18 +21,18 @@ from hexar.reasoner import LatencyModelReasoner, ReasonerError, RuleReasoner, Te
 from hexar.scenarios import grid_triples
 
 DIGESTS = {
-    "hexar": "469291dcb3da5298a0141a85a5ed9992428b4b3db3837249ae0f2843f0055c85",
+    "hexar": "9856f04d7107e2d6b7bfd3d0865bc1a8d6aa1e97db03688f6d9bb285260e13e6",
     "end_to_end": "e1ff0f50b04cd04da7f4431d2c513ac35af40c1d98d5907186543bb52fcacb2f",
-    "all_components": "8d936a996a20c68b9d177afbacb13fd4cd119908d6a4ba1deab7a76232fb1e79",
+    "all_components": "569b601f984799788675b8322dd3827711485c40f569db41f3e40e76fb2c2801",
 }
 
 
 # Mean modelled seconds and prompt chars per answer at seed 0, per method.
 # Prompt chars count every attempted call; seconds bill the calls that returned.
 MEAN_COST_AT_SEED_0 = {
-    "hexar": (4.2179, 767.1),
+    "hexar": (3.272, 628.8),
     "end_to_end": (8.6180, 2647.2),
-    "all_components": (9.4418, 2303.3),
+    "all_components": (8.496, 2165.0),
 }
 
 

@@ -24,7 +24,7 @@ from hexar.evaluation import ANSWER_ERRORS, METHODS, answer, run_grid
 from hexar.explainers import navigation
 from hexar.explainers.navigation import build_navigation_prompt, situation_catalogue
 from hexar.explainers.planner import build_planner_prompt
-from hexar.framework import build_aggregation_prompt
+from hexar.framework import ReasonerMeter, build_aggregation_prompt
 from hexar.reasoner import (
     NAVIGATION_SITUATIONS,
     NAVIGATION_SUB_EXPLAINERS,
@@ -114,20 +114,6 @@ def test_rule_reasoner_rejects_empty_prompts(rule_reasoner):
         rule_reasoner.complete(ReasonerRequest(system_prompt="", user_prompt="x"))
 
 
-COUNTERFACTUAL_PROMPT = (
-    "Rephrase.\n## Counterfactual\n"
-    "human_too_far occurred because min_distance = 4.10. "
-    "If min_distance = 3.00, help_refused would have occurred instead.\n"
-)
-
-
-def test_counterfactual_naturalisation_substitutes_values(rule_reasoner):
-    response = rule_reasoner.complete_text("naturalise", COUNTERFACTUAL_PROMPT)
-    assert "too far away to ask for help" in response.text
-    assert "4.10 m" in response.text
-    assert "3.00 m" in response.text
-
-
 # -- bundled knowledge -----------------------------------------------------------
 
 
@@ -142,12 +128,10 @@ def test_rule_reasoner_reads_no_package_data_once_imported(monkeypatch, registry
     prompts = [
         CLASSIFY_PROMPT.format(query="Why did you pick that pizza?"),
         navigation_prompt,
-        COUNTERFACTUAL_PROMPT,
     ]
     before = [RuleReasoner().complete_text("sys", prompt).text for prompt in prompts]
     assert before[0] == "pizza_recommender"
     assert before[1] in [sentence for _, sentence in NAVIGATION_SITUATIONS]
-    assert "4.10 m" in before[2]
 
     monkeypatch.setattr(reasoner_module, "read_package_data", _unreadable)
     reasoner = RuleReasoner()
@@ -245,7 +229,6 @@ SECTION_NAMES = (
     "Plan",
     "Filtered logs",
     "Other events",
-    "Counterfactual",
     "Explanations to merge",
 )
 
@@ -320,7 +303,7 @@ def test_section_matches_the_regex_definition_on_every_grid_prompt(rule_reasoner
     monkeypatch.setattr(hexar.reasoner, "_sections", counted)
     recorder = _RecordingReasoner(rule_reasoner)
     run_grid(list(METHODS), grid_triples(), recorder, seed=0)
-    assert len(recorder.prompts) > 900
+    assert len(recorder.prompts) == 873
     # each completion splits its prompt once
     assert sorted(split) == sorted(recorder.prompts)
     for prompt in recorder.prompts:
@@ -329,7 +312,8 @@ def test_section_matches_the_regex_definition_on_every_grid_prompt(rule_reasoner
             assert sections.get(name) == _section_oracle(prompt, name)
 
 
-# headers that pick a prompt family ahead of the one a question is asked in
+# headers that pick a prompt family ahead of the one a question is asked in,
+# and "## Counterfactual", which named the help explainer's rephrasing prompt
 FAMILY_HEADERS = ("## Candidate explainers", "## Counterfactual", "## Explanations to merge")
 
 
@@ -477,6 +461,47 @@ def test_latency_model_is_linear_in_prompt_size(rule_reasoner):
     assert response.text == "pizza_recommender"
 
 
+STORY = "tell me a story about whales"
+
+
+def test_a_refused_call_is_billed_the_latency_models_charge(rule_reasoner):
+    """The meter bills a refusal as a completion of the same prompt; the error passes unchanged."""
+    charge = 2.0 + 0.25 * (len("sys") + len(STORY)) / 100.0
+    inner = ReasonerMeter(LatencyModelReasoner(rule_reasoner))
+    outer = ReasonerMeter(inner)
+    with pytest.raises(NoMatchError) as refused:
+        outer.complete_text("sys", STORY)
+    assert type(refused.value) is NoMatchError
+    assert str(refused.value) == "no deterministic rule matches this prompt"
+    assert (outer.calls, inner.calls) == (1, 1)
+    assert outer.latency == inner.latency == pytest.approx(charge, abs=1e-12)
+    request = ReasonerRequest("sys", STORY)
+    assert LatencyModelReasoner(rule_reasoner).modelled_latency(request) == outer.latency
+
+
+def test_a_bare_rule_reasoner_bills_a_refusal_nothing(rule_reasoner):
+    meter = ReasonerMeter(rule_reasoner)
+    with pytest.raises(NoMatchError):
+        meter.complete_text("sys", STORY)
+    assert (meter.calls, meter.latency) == (1, 0.0)
+
+
+def test_all_components_is_billed_its_refused_navigation_call(registry, rule_reasoner, trace_cache):
+    """Scenario 3: the navigation explainer's refusal is billed like the calls that returned."""
+    charges = []
+
+    class Charging(LatencyModelReasoner):
+        def complete(self, request):
+            charges.append(self.modelled_latency(request))
+            return super().complete(request)
+
+    trace = trace_cache(3)
+    explanation = answer("all_components", "What happened?", trace, registry, Charging(rule_reasoner))
+    assert explanation.reasoner_calls == len(charges) == 3
+    assert "[navigation explainer produced no answer" in explanation.text
+    assert sum(charges) <= explanation.wall_time < sum(charges) + 1.0
+
+
 def test_make_reasoner_factory():
     assert isinstance(make_reasoner("rule"), RuleReasoner)
     with pytest.raises(ValueError):
@@ -603,6 +628,7 @@ class _Refusing(TextReasoner):
 def test_hexar_answers_with_the_help_template_on_empty_remote_content(
     chat_server, tmp_path, capsys, monkeypatch, registry
 ):
+    """A help-routed answer is phrased without a completion: no request reaches the endpoint."""
     _ChatHandler.content = ""
     monkeypatch.setenv("HEXAR_REASONER_URL", chat_server)
     path = tmp_path / "trace.jsonl"
@@ -612,10 +638,10 @@ def test_hexar_answers_with_the_help_template_on_empty_remote_content(
     code = main(["explain", "--trace", str(path), "--query", query, "--reasoner", "remote"])
     out, err = capsys.readouterr()
     assert code == 0, err
-    fallback = answer("hexar", query, hexar.read_trace(path), registry, _Refusing())
-    assert "[counterfactual template; naturalisation unavailable]" in fallback.text
-    assert out.splitlines()[:2] == [fallback.text, f"produced_by: {fallback.produced_by}"]
-    assert len(_ChatHandler.seen) == 1  # the naturalisation call, answered with ""
+    offline = answer("hexar", query, hexar.read_trace(path), registry, _Refusing())
+    assert (offline.produced_by, offline.reasoner_calls) == ("ask_human_for_help", 0)
+    assert out.splitlines()[:2] == [offline.text, f"produced_by: {offline.produced_by}"]
+    assert _ChatHandler.seen == []
 
 
 def test_run_grid_records_a_nested_remote_reply_as_an_error(chat_server, registry):
