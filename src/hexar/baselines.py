@@ -68,27 +68,19 @@ def build_end_to_end_prompt(
     return trace.derived(_end_to_end_evidence, registry.sources) + query_section(query.text)
 
 
-def explain_end_to_end(
-    query: Query,
-    trace: Trace,
-    reasoner: TextReasoner,
-    registry: ExplainerRegistry,
+def answer_end_to_end(
+    query: Query, trace: Trace, registry: ExplainerRegistry, meter: ReasonerMeter
 ) -> Explanation:
     """Single reasoner call over one prompt holding all recorded information."""
-    meter = ReasonerMeter(reasoner)
-    prompt = build_end_to_end_prompt(query, trace, registry)
     response = meter.complete_text(
         system_prompt="You explain a robot's behaviour from its full recording.",
-        user_prompt=prompt,
+        user_prompt=build_end_to_end_prompt(query, trace, registry),
     )
     return meter.explanation(response.text, "end_to_end")
 
 
-def explain_all_components(
-    query: Query,
-    trace: Trace,
-    registry: ExplainerRegistry,
-    reasoner: TextReasoner,
+def answer_all_components(
+    query: Query, trace: Trace, registry: ExplainerRegistry, meter: ReasonerMeter
 ) -> Explanation:
     """Run every component explainer, then merge with one aggregation call.
 
@@ -98,7 +90,6 @@ def explain_all_components(
     explainer failure (one of ``ANSWER_ERRORS``) degrades to a note in the
     aggregation input rather than aborting the baseline; a bug propagates.
     """
-    meter = ReasonerMeter(reasoner)
     trace.plan  # a trace without a plan fails the answer, not each explainer
 
     def run_one(explainer_id: str) -> str:
@@ -111,3 +102,17 @@ def explain_all_components(
     text = aggregate([run_one(explainer_id) for explainer_id in ids], query, meter)
     produced_by = "+".join(ids + ["aggregator"]) if len(ids) > 1 else ids[0]
     return meter.explanation(text, produced_by)
+
+
+def explain_end_to_end(
+    query: Query, trace: Trace, reasoner: TextReasoner, registry: ExplainerRegistry
+) -> Explanation:
+    """``answer_end_to_end`` billed to a meter of its own, for a caller that has none."""
+    return answer_end_to_end(query, trace, registry, ReasonerMeter(reasoner))
+
+
+def explain_all_components(
+    query: Query, trace: Trace, registry: ExplainerRegistry, reasoner: TextReasoner
+) -> Explanation:
+    """``answer_all_components`` billed to a meter of its own, for a caller that has none."""
+    return answer_all_components(query, trace, registry, ReasonerMeter(reasoner))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import evaluation
 from .explainers import build_default_registry
-from .framework import ANSWER_ERRORS
+from .framework import ANSWER_ERRORS, ReasonerMeter
 from .reasoner import ReasonerError, make_reasoner
 from .scenarios import get_scenario, grid_triples, list_scenarios, read_manifest, write_manifest
 from .trace import TraceError, read_trace, validate_trace, write_trace
@@ -65,7 +65,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _explain_once(trace, query_text: str, method: str, registry, reasoner) -> int:
     try:
-        explanation = evaluation.answer(method, query_text, trace, registry, reasoner)
+        explanation = evaluation.answer(method, query_text, trace, registry, ReasonerMeter(reasoner))
     except ANSWER_ERRORS as exc:
         print(evaluation.FAILURE_REPLY)
         print(f"(explanation failed: {type(exc).__name__}: {exc})", file=sys.stderr)

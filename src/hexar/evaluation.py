@@ -7,15 +7,17 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .baselines import explain_all_components, explain_end_to_end
+from .baselines import answer_all_components, answer_end_to_end
 from .explainers import ROBOT_MODULES, build_default_registry
-from .framework import ANSWER_ERRORS, ExplainerRegistry, ReasonerMeter, explain_hexar
+from .framework import ANSWER_ERRORS, ExplainerRegistry, ReasonerMeter, answer_hexar
 from .reasoner import TextReasoner
 from .scenarios import check_grid_point, get_scenario, read_csv_rows
 from .stats import cochran_q, holm_adjust, mcnemar, sample_variance
 from .trace import Explanation, Query, Trace
 
-METHODS = ("hexar", "end_to_end", "all_components")
+_BODIES = {"hexar": answer_hexar, "end_to_end": answer_end_to_end,
+           "all_components": answer_all_components}
+METHODS = tuple(_BODIES)  # in report order
 
 FAILURE_REPLY = "I do not have enough information to answer this question."
 
@@ -77,24 +79,16 @@ def _sample_id(scenario_id: int, variant: int, query_index: int, method: str) ->
 
 
 def answer(
-    method: str,
-    text: str,
-    trace: Trace,
-    registry: ExplainerRegistry,
-    reasoner: TextReasoner,
+    method: str, text: str, trace: Trace, registry: ExplainerRegistry, meter: ReasonerMeter
 ) -> Explanation:
     """Answer the question ``text``, asked at the end of ``trace``, with ``method``.
 
-    Raises one of ``ANSWER_ERRORS`` when the design expects no answer.
+    Bills the caller's ``meter``; raises one of ``ANSWER_ERRORS`` when the design expects no answer.
     """
+    if method not in _BODIES:
+        raise ValueError(f"unknown method {method!r}")
     query = Query(text=text, asked_at=trace.events[-1].ts if trace.events else 0.0)
-    if method == "hexar":
-        return explain_hexar(query, trace, registry, reasoner)
-    if method == "end_to_end":
-        return explain_end_to_end(query, trace, reasoner, registry)
-    if method == "all_components":
-        return explain_all_components(query, trace, registry, reasoner)
-    raise ValueError(f"unknown method {method!r}")
+    return _BODIES[method](query, trace, registry, meter)
 
 
 def run_grid(
@@ -107,11 +101,11 @@ def run_grid(
 ) -> list[EvalRecord]:
     """Explain every distinct (scenario, variant, query) point with every distinct method.
 
-    One trace per (scenario, variant) is generated and shared by all
-    methods and queries. A per-sample failure the design expects (one of
-    ``ANSWER_ERRORS``) yields a flagged record with an empty explanation,
-    billed with the reasoner calls it made, instead of aborting the run; any
-    other exception is a bug and propagates.
+    One trace per (scenario, variant) is generated and shared by all methods
+    and queries; each point is billed to one ``ReasonerMeter`` of its own. A
+    failure the design expects (one of ``ANSWER_ERRORS``) yields a flagged
+    record with an empty explanation, billed with the calls its meter counted,
+    instead of aborting the run; any other exception is a bug and propagates.
     """
     registry = registry or build_default_registry()
     for method in methods:
@@ -142,16 +136,14 @@ def run_grid(
         scenario_id, variant, query_index, method = item
         spec = get_scenario(scenario_id)
         trace = traces[(scenario_id, variant)]
-        meter = ReasonerMeter(reasoner)  # bills a failed answer's calls too
+        meter = ReasonerMeter(reasoner)  # the answer's one meter, kept if it fails
         try:
             explanation = answer(method, spec.queries[query_index - 1], trace, registry, meter)
         except ANSWER_ERRORS as exc:
-            text, produced_by = "", f"error:{type(exc).__name__}"
-            calls, wall_time = meter.calls, 0.0
-            selected_ok = False
+            text, produced_by, wall_time, selected_ok = "", f"error:{type(exc).__name__}", 0.0, False
         else:
             text, produced_by = explanation.text, explanation.produced_by
-            calls, wall_time = explanation.reasoner_calls, explanation.wall_time
+            wall_time = explanation.wall_time
             selected_ok = method == "hexar" and produced_by == registry.explainer_for_module(
                 spec.ground_truth.relevant_module
             )
@@ -163,7 +155,7 @@ def run_grid(
             method,
             text,
             produced_by,
-            calls,
+            meter.calls,
             wall_time,
             selected_ok if method == "hexar" else None,
         )

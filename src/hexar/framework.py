@@ -4,8 +4,8 @@ A component explainer subscribes to a subset of robot modules and turns a
 query plus context into natural-language text. The selector picks exactly
 one explainer per query: a failure heuristic over the last plan and skill
 statuses first, a query classifier otherwise. What an answer costs is
-counted in one place, the :class:`ReasonerMeter` each method entry point
-wraps around the caller's reasoner.
+counted in one place, the one :class:`ReasonerMeter` the caller of
+``evaluation.answer`` passes to the method body.
 """
 
 from __future__ import annotations
@@ -234,14 +234,17 @@ def aggregate(texts: list[str], query: Query, reasoner: TextReasoner) -> str:
     ).text
 
 
-def explain_hexar(
-    query: Query,
-    trace: Trace,
-    registry: ExplainerRegistry,
-    reasoner: TextReasoner,
+def answer_hexar(
+    query: Query, trace: Trace, registry: ExplainerRegistry, meter: ReasonerMeter
 ) -> Explanation:
-    """Full pipeline: select one explainer, then run it."""
-    meter = ReasonerMeter(reasoner)
+    """Full pipeline, billed to ``meter``: select one explainer, then run it."""
     decision = select(query, trace, registry, meter)
     text = run_explainer(registry.explainers[decision.chosen], query, trace, meter)
     return meter.explanation(text, decision.chosen)
+
+
+def explain_hexar(
+    query: Query, trace: Trace, registry: ExplainerRegistry, reasoner: TextReasoner
+) -> Explanation:
+    """``answer_hexar`` billed to a meter of its own, for a caller that has none."""
+    return answer_hexar(query, trace, registry, ReasonerMeter(reasoner))

@@ -314,7 +314,7 @@ class Explanation:
     """Natural-language answer plus provenance and cost accounting.
 
     ``reasoner_calls`` and ``wall_time`` (measured plus modelled seconds) are
-    filled in by the method entry point's ``ReasonerMeter``.
+    filled in by the answer's one ``ReasonerMeter``, owned by the caller of ``answer``.
     """
 
     text: str

@@ -30,6 +30,7 @@ from hexar.evaluation import (
     run_grid,
     write_results_csv,
 )
+from hexar.framework import ReasonerMeter
 from hexar.reasoner import LatencyModelReasoner, RuleReasoner, TextReasoner
 from hexar.scenarios import get_scenario, grid_triples
 
@@ -193,12 +194,40 @@ class BillingOracle(TextReasoner):
 def test_every_answer_is_billed_for_every_reasoner_call(method, registry, specs_by_id, trace_cache):
     for scenario_id, variant, query_index in grid_triples():
         oracle = BillingOracle()
+        meter = ReasonerMeter(oracle)
         text = specs_by_id[scenario_id].queries[query_index - 1]
-        explanation = answer(method, text, trace_cache(scenario_id, variant), registry, oracle)
+        explanation = answer(method, text, trace_cache(scenario_id, variant), registry, meter)
         point = (scenario_id, variant, query_index)
         assert explanation.reasoner_calls == oracle.calls, point
         assert explanation.wall_time >= oracle.latency, point
         assert (oracle.latency > 0) == (oracle.calls > 0), point
+        # the caller's meter is the one the answer was billed to
+        assert meter.calls == explanation.reasoner_calls, point
+        assert meter.latency == pytest.approx(oracle.latency, abs=1e-9), point
+
+
+def test_run_grid_bills_each_completion_to_one_meter_per_record(monkeypatch):
+    """Over the seed-0 grid: one meter per record, and one meter call per completion."""
+    meters = meter_calls = 0
+    build, complete = ReasonerMeter.__init__, ReasonerMeter.complete
+
+    def counting_init(self, inner):
+        nonlocal meters
+        meters += 1
+        build(self, inner)
+
+    def counting_complete(self, request):
+        nonlocal meter_calls
+        meter_calls += 1
+        return complete(self, request)
+
+    monkeypatch.setattr(ReasonerMeter, "__init__", counting_init)
+    monkeypatch.setattr(ReasonerMeter, "complete", counting_complete)
+    oracle = BillingOracle()
+    records = run_grid(list(METHODS), grid_triples(), oracle, seed=0)
+    assert (meters, meter_calls) == (len(records), oracle.calls)
+    assert (len(records), oracle.calls) == (540, 873)
+    assert sum(r.reasoner_calls for r in records) == oracle.calls
 
 
 class FingerprintReasoner(TextReasoner):

@@ -279,7 +279,8 @@ def test_component_evidence_is_built_once_per_trace(
         texts = []
         for text, method in itertools.product(spec.queries, ("hexar", "all_components")):
             try:
-                texts.append(evaluation.answer(method, text, trace, registry, rule_reasoner).text)
+                meter = ReasonerMeter(rule_reasoner)
+                texts.append(evaluation.answer(method, text, trace, registry, meter).text)
             except ANSWER_ERRORS as exc:  # a hexar answer may fail; its evidence still counts
                 texts.append(repr(exc))
         return texts

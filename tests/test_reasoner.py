@@ -194,12 +194,13 @@ def test_every_package_data_file_is_read_once_per_process():
         "from hexar import RuleReasoner\n"
         "from hexar.evaluation import METHODS, answer\n"
         "from hexar.explainers import build_default_registry\n"
+        "from hexar.framework import ReasonerMeter\n"
         "from hexar.simulate import generate_trace\n"
         "registry = build_default_registry()\n"
         "for scenario in (7, 13, 20):\n"
         "    trace = generate_trace(scenario, 1, 0)\n"
         "    for method in METHODS:\n"
-        "        answer(method, 'What happened?', trace, registry, RuleReasoner())\n"
+        "        answer(method, 'What happened?', trace, registry, ReasonerMeter(RuleReasoner()))\n"
         "print(' '.join(f'{name}={count}' for name, count in sorted(opened.items())))\n"
     )
     path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
@@ -324,7 +325,7 @@ def test_a_header_named_mid_line_is_part_of_the_question(
 
     def outcome(method, text, trace):
         try:
-            return answer(method, text, trace, registry, rule_reasoner).text
+            return answer(method, text, trace, registry, ReasonerMeter(rule_reasoner)).text
         except ANSWER_ERRORS as exc:
             return f"{type(exc).__name__}: {exc}"
 
@@ -377,7 +378,7 @@ def test_trace_text_holding_a_header_line_opens_no_section(
     def section_names(method, trace):
         recorder = _RecordingReasoner(rule_reasoner)
         try:
-            answer(method, "What happened?", trace, registry, recorder)
+            answer(method, "What happened?", trace, registry, ReasonerMeter(recorder))
         except ANSWER_ERRORS:
             pass
         return [list(_sections(prompt)) for prompt in recorder.prompts]
@@ -496,7 +497,8 @@ def test_all_components_is_billed_its_refused_navigation_call(registry, rule_rea
             return super().complete(request)
 
     trace = trace_cache(3)
-    explanation = answer("all_components", "What happened?", trace, registry, Charging(rule_reasoner))
+    meter = ReasonerMeter(Charging(rule_reasoner))
+    explanation = answer("all_components", "What happened?", trace, registry, meter)
     assert explanation.reasoner_calls == len(charges) == 3
     assert "[navigation explainer produced no answer" in explanation.text
     assert sum(charges) <= explanation.wall_time < sum(charges) + 1.0
@@ -638,7 +640,7 @@ def test_hexar_answers_with_the_help_template_on_empty_remote_content(
     code = main(["explain", "--trace", str(path), "--query", query, "--reasoner", "remote"])
     out, err = capsys.readouterr()
     assert code == 0, err
-    offline = answer("hexar", query, hexar.read_trace(path), registry, _Refusing())
+    offline = answer("hexar", query, hexar.read_trace(path), registry, ReasonerMeter(_Refusing()))
     assert (offline.produced_by, offline.reasoner_calls) == ("ask_human_for_help", 0)
     assert out.splitlines()[:2] == [offline.text, f"produced_by: {offline.produced_by}"]
     assert _ChatHandler.seen == []
@@ -669,7 +671,7 @@ def test_remote_answer_bills_its_call_time_once(chat_server, trace_cache, regist
     reasoner = RemoteReasoner(url=chat_server, model="tiny-model")
     trace = trace_cache(7)
     start = time.perf_counter()
-    explanation = answer("end_to_end", "Why?", trace, registry, reasoner)
+    explanation = answer("end_to_end", "Why?", trace, registry, ReasonerMeter(reasoner))
     span = time.perf_counter() - start
     assert (explanation.text, explanation.reasoner_calls) == ("remote says hi", 1)
     assert span >= _ChatHandler.delay
