@@ -8,7 +8,7 @@ explainers each contribute.
 
 from __future__ import annotations
 
-from .explainers.navigation import filter_logs, situation_catalogue
+from .explainers.navigation import SITUATION_CATALOGUE, filter_logs
 from .explainers.planner import format_items, format_plan
 from .framework import (
     ANSWER_ERRORS,
@@ -55,7 +55,7 @@ def _end_to_end_evidence(trace: Trace, sources: frozenset[str]) -> str:
         logs=indent_headers("\n".join(logs)) or "(none)",
         params=indent_headers("\n".join(params)) or "(none)",
         other_events=indent_headers("\n".join(other)) or "(none)",
-        situation_catalogue=situation_catalogue(),
+        situation_catalogue=SITUATION_CATALOGUE,
     )
 
 

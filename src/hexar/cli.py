@@ -14,7 +14,7 @@ from pathlib import Path
 from . import evaluation
 from .explainers import build_default_registry
 from .framework import ANSWER_ERRORS, ReasonerMeter
-from .reasoner import ReasonerError, make_reasoner
+from .reasoner import REASONERS, ReasonerError, make_reasoner
 from .scenarios import get_scenario, grid_triples, list_scenarios, read_manifest, write_manifest
 from .trace import TraceError, read_trace, validate_trace, write_trace
 
@@ -185,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=Path, required=True)
     p.add_argument("--query", type=str, default=None)
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="hexar")
-    p.add_argument("--reasoner", choices=["rule", "remote"], default="rule")
+    p.add_argument("--reasoner", choices=list(REASONERS), default="rule")
     p.add_argument("--interactive", action="store_true", help="read one query per stdin line")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("evaluate", help="run the evaluation grid and write a results CSV")
     p.add_argument("--manifest", type=Path, default=None, help="grid manifest (default: full grid)")
     p.add_argument("--methods", type=str, default="hexar,end-to-end,all-components")
-    p.add_argument("--reasoner", choices=["rule", "remote"], default="rule")
+    p.add_argument("--reasoner", choices=list(REASONERS), default="rule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=Path, required=True)

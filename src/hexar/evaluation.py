@@ -81,14 +81,13 @@ def _sample_id(scenario_id: int, variant: int, query_index: int, method: str) ->
 def answer(
     method: str, text: str, trace: Trace, registry: ExplainerRegistry, meter: ReasonerMeter
 ) -> Explanation:
-    """Answer the question ``text``, asked at the end of ``trace``, with ``method``.
+    """Answer the question ``text`` about the whole of ``trace`` with ``method``.
 
     Bills the caller's ``meter``; raises one of ``ANSWER_ERRORS`` when the design expects no answer.
     """
     if method not in _BODIES:
         raise ValueError(f"unknown method {method!r}")
-    query = Query(text=text, asked_at=trace.events[-1].ts if trace.events else 0.0)
-    return _BODIES[method](query, trace, registry, meter)
+    return _BODIES[method](Query(text), trace, registry, meter)
 
 
 def run_grid(

@@ -14,8 +14,9 @@ A motion param selects ``motion`` whatever its value; a mode param selects
 connected or a joystick that is off overrides nothing. Every navigation
 param is listed in the prompt either way. A trace whose params select none
 gets ``path``; params of two sub-explainers give the union of their slices,
-in catalogue order. The end-to-end baseline keeps the whole catalogue
-(:func:`situation_catalogue`).
+in catalogue order. The catalogue is the ``navigation`` entries of
+``situations.json``, in file order; the end-to-end baseline shows all of it
+(``SITUATION_CATALOGUE``).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import re
 
 from ..framework import ExplainerError
 from ..reasoner import (
-    NAVIGATION_SITUATIONS,
-    NAVIGATION_SUB_EXPLAINERS,
+    SITUATIONS,
     TextReasoner,
     indent_headers,
     load_prompt_template,
@@ -94,15 +94,12 @@ def filter_logs(lines: list[str]) -> list[str]:
 
 # (owning sub-explainer, prompt line) of each known situation, in catalogue order
 _CATALOGUE_LINES = tuple(
-    (sub, f'- if the evidence mentions "{m}": {s}')
-    for sub, (m, s) in zip(NAVIGATION_SUB_EXPLAINERS, NAVIGATION_SITUATIONS, strict=True)
+    (e["sub_explainer"], f'- if the evidence mentions "{e["marker"]}": {e["sentence"]}')
+    for e in SITUATIONS
+    if e["scope"] == "navigation"
 )
-_CATALOGUE = "\n".join(line for _, line in _CATALOGUE_LINES)
-
-
-def situation_catalogue() -> str:
-    """Known navigation situations, rendered for the prompt once per process."""
-    return _CATALOGUE
+# every known navigation situation, rendered for a prompt once per process
+SITUATION_CATALOGUE = "\n".join(line for _, line in _CATALOGUE_LINES)
 
 
 def _sub_explainer_of(name: object) -> str | None:

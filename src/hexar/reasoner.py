@@ -15,7 +15,6 @@ import json
 import os
 import re
 import urllib.parse
-from collections.abc import Iterable
 from importlib import resources
 from typing import NamedTuple
 
@@ -116,23 +115,14 @@ def _sections(prompt: str) -> dict[str, str]:
     return sections
 
 
-def _situations_in(situations: list[dict], scopes: tuple[str, ...]) -> list[tuple[str, str]]:
-    return [(e["marker"], e["sentence"]) for e in situations if e["scope"] in scopes]
-
-
-# The rule reasoner's knowledge, parsed once per process: keywords in
-# first-match order, (marker, sentence) situations in catalogue order.
+# The rule reasoner's knowledge, parsed once when this module is imported:
+# keywords in first-match order, and every situations.json entry in file
+# order. Navigation renders its catalogue from the entries of its scope.
 _KEYWORDS = tuple(
     (re.compile(entry["pattern"], re.I), entry["explainer"])
     for entry in json.loads(read_package_data("classifier_keywords.json"))
 )
-_SITUATIONS = json.loads(read_package_data("situations.json"))
-NAVIGATION_SITUATIONS = _situations_in(_SITUATIONS, ("navigation",))
-# the navigation sub-explainer that owns each of NAVIGATION_SITUATIONS, in order
-NAVIGATION_SUB_EXPLAINERS = tuple(
-    e["sub_explainer"] for e in _SITUATIONS if e["scope"] == "navigation"
-)
-_EVIDENCE_SITUATIONS = _situations_in(_SITUATIONS, ("navigation", "help", "tts", "pizza"))
+SITUATIONS = tuple(json.loads(read_package_data("situations.json")))
 
 
 @functools.lru_cache(maxsize=16)
@@ -195,16 +185,12 @@ class RuleReasoner(TextReasoner):
         # generic queries on successful runs default to the planner view
         return "planner"
 
-    @staticmethod
-    def _matches(text: str, situations: Iterable[tuple[str, str]]) -> list[str]:
-        return [sentence for marker, sentence in situations if marker in text]
-
     def _navigation(self, sections: dict[str, str]) -> str:
         evidence = sections["Navigation logs"] + "\n" + sections.get("Robot parameters", "")
-        matched = self._matches(evidence, _listed_situations(sections.get("Known situations", "")))
-        if not matched:
-            raise NoMatchError("no known navigation situation matches the evidence")
-        return matched[0]
+        for marker, sentence in _listed_situations(sections.get("Known situations", "")):
+            if marker in evidence:
+                return sentence
+        raise NoMatchError("no known navigation situation matches the evidence")
 
     def _planner_finding(self, sections: dict[str, str]) -> str | None:
         errors = sections.get("Grounding errors")
@@ -251,9 +237,9 @@ class RuleReasoner(TextReasoner):
         finding = self._planner_finding(sections)
         if finding is not None:
             parts.append(finding)
-        for sentence in self._matches(evidence, _EVIDENCE_SITUATIONS):
-            if sentence not in parts:
-                parts.append(sentence)
+        for entry in SITUATIONS:
+            if entry["marker"] in evidence and entry["sentence"] not in parts:
+                parts.append(entry["sentence"])
         if not parts:
             raise NoMatchError("no known situation matches the recorded information")
         return " ".join(parts)
@@ -359,10 +345,12 @@ class LatencyModelReasoner(TextReasoner):
         return SECONDS_PER_CALL + SECONDS_PER_100_CHARS * chars / 100.0
 
 
+# The reasoner kinds the CLI's --reasoner flag offers, in the order it lists them.
+REASONERS = {"rule": RuleReasoner, "remote": RemoteReasoner}
+
+
 def make_reasoner(kind: str) -> TextReasoner:
     """Factory for the CLI's --reasoner flag."""
-    if kind == "rule":
-        return RuleReasoner()
-    if kind == "remote":
-        return RemoteReasoner()
-    raise ValueError(f"unknown reasoner kind {kind!r}")
+    if kind not in REASONERS:
+        raise ValueError(f"unknown reasoner kind {kind!r}")
+    return REASONERS[kind]()

@@ -16,7 +16,7 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, TypeVar, Union
@@ -134,11 +134,10 @@ class Trace:
     """An ordered event sequence for one scenario execution.
 
     Views derived from the events alone (``by_source`` with what each
-    ``EventView`` keeps, ``plan``, ``latest_statuses``, ``context``,
-    ``earliest_failed_skill`` and what callers keep with ``derived``) are
-    computed on first use and kept by
-    this instance, because one recording is asked many questions. Every
-    method answers over the whole trace. They live and die with the
+    ``EventView`` keeps, ``plan``, ``context``, ``earliest_failed_skill``
+    and what callers keep with ``derived``) are computed on first use and
+    kept by this instance, because one recording is asked many questions.
+    Every method answers over the whole trace. They live and die with the
     instance: ``dataclasses.replace`` gives a copy with none kept, and
     equality and ``repr`` ignore them. Every ``Event`` payload must therefore
     stay unmodified once the trace is built. Threads may share a trace; two
@@ -199,18 +198,12 @@ class Trace:
         return TaskPlan.from_payload(self.plan_event.payload)
 
     @functools.cached_property
-    def latest_statuses(self) -> Mapping[str, str]:
-        """The last recorded status of each skill, by skill name; do not modify it."""
+    def context(self) -> "ContextVector":
+        """The plan and each plan step's latest status, ``"waiting"`` if it has none."""
         latest: dict[str, str] = {}
         for event in self.events:
             if event.kind == "skill_status":
                 latest[str(event.payload["skill"])] = str(event.payload["status"])
-        return latest
-
-    @functools.cached_property
-    def context(self) -> "ContextVector":
-        """The plan and each plan step's latest status, ``"waiting"`` if it has none."""
-        latest = self.latest_statuses
         skills = tuple((step.skill, latest.get(step.skill, "waiting")) for step in self.plan.steps)
         return ContextVector(plan=self.plan, skills=skills)
 
@@ -281,12 +274,12 @@ class TaskPlan:
 class Query:
     """An explanation-seeking user question.
 
-    ``asked_at`` records when the question was asked; every method answers
-    it over the whole trace.
+    ``asked_at``, when the question was asked, is optional and read by no
+    answer: every method answers over the whole trace.
     """
 
     text: str
-    asked_at: float
+    asked_at: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.text:

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexar
 from hexar import evaluation, framework
 from hexar.baselines import build_end_to_end_prompt, explain_all_components, explain_end_to_end
 from hexar.explainers import build_default_registry, help_causal, navigation, pizza, planner, tts
-from hexar.explainers.navigation import build_navigation_prompt, filter_logs, situation_catalogue
+from hexar.explainers.navigation import build_navigation_prompt, filter_logs
 from hexar.explainers.planner import build_planner_prompt, format_items, format_plan
 from hexar.framework import (
     ANSWER_ERRORS,
@@ -29,8 +32,6 @@ from hexar.framework import (
     select,
 )
 from hexar.reasoner import (
-    NAVIGATION_SITUATIONS,
-    NAVIGATION_SUB_EXPLAINERS,
     ReasonerResponse,
     TextReasoner,
     _sections,
@@ -188,7 +189,6 @@ def test_memoized_views_equal_fresh_ones_on_every_grid_trace(registry, rule_reas
             for variant in range(1, N_TASK_VARIANTS + 1):
                 trace = generate_trace(scenario_id, variant, seed)
                 cold = lambda: dataclasses.replace(trace)
-                assert dict(trace.latest_statuses) == _reference_latest_statuses(trace)
                 assert trace.earliest_failed_skill == _reference_earliest_failed_skill(trace)
                 assert trace.context == cold().context == _reference_context(trace)
                 for sources in source_sets:
@@ -394,6 +394,15 @@ _NAV_PARAMS = {
     "max_speed": "motion",
 }
 
+# (sub-explainer, prompt line) of each navigation situation, read from situations.json
+_NAVIGATION_CATALOGUE = [
+    (e["sub_explainer"], f'- if the evidence mentions "{e["marker"]}": {e["sentence"]}')
+    for e in json.loads(
+        (Path(hexar.__file__).resolve().parent / "data" / "situations.json").read_text("utf-8")
+    )
+    if e["scope"] == "navigation"
+]
+
 
 def _reference_fields(name, trace, registry):
     """Every field of prompt template ``name``, rendered from scratch."""
@@ -427,11 +436,7 @@ def _reference_fields(name, trace, registry):
             for p in shown
             if _NAV_PARAMS[p["name"]] != "mode" or p["value"] is True
         } or {"path"}
-        catalogue = [
-            f'- if the evidence mentions "{marker}": {sentence}'
-            for sub, (marker, sentence) in zip(NAVIGATION_SUB_EXPLAINERS, NAVIGATION_SITUATIONS)
-            if sub in selected
-        ]
+        catalogue = [line for sub, line in _NAVIGATION_CATALOGUE if sub in selected]
         return dict(
             logs="\n".join(filter_logs(logs)) or "(no navigation logs)",
             params="\n".join(f"- {p['name']} = {p['value']}" for p in shown) or "(none)",
@@ -462,7 +467,7 @@ def _reference_fields(name, trace, registry):
         logs="\n".join(filter_logs(sections["log"])) or "(none)",
         params="\n".join(sections["param"]) or "(none)",
         other_events="\n".join(sections["other"]) or "(none)",
-        situation_catalogue=situation_catalogue(),
+        situation_catalogue="\n".join(line for _, line in _NAVIGATION_CATALOGUE),
     )
 
 

@@ -19,15 +19,14 @@ from hypothesis import strategies as st
 import hexar
 from hexar import reasoner as reasoner_module
 from hexar.baselines import build_end_to_end_prompt
-from hexar.cli import main
+from hexar.cli import build_parser, main
 from hexar.evaluation import ANSWER_ERRORS, METHODS, answer, run_grid
-from hexar.explainers import navigation
-from hexar.explainers.navigation import build_navigation_prompt, situation_catalogue
+from hexar.explainers.navigation import SITUATION_CATALOGUE, build_navigation_prompt
 from hexar.explainers.planner import build_planner_prompt
 from hexar.framework import ReasonerMeter, build_aggregation_prompt
 from hexar.reasoner import (
-    NAVIGATION_SITUATIONS,
-    NAVIGATION_SUB_EXPLAINERS,
+    REASONERS,
+    SITUATIONS,
     LatencyModelReasoner,
     NoMatchError,
     ReasonerError,
@@ -40,6 +39,18 @@ from hexar.reasoner import (
     make_reasoner,
 )
 from hexar.trace import Event, Query, Trace
+
+# The situation catalogue read from its file: the reference for hexar's tables.
+SITUATION_ENTRIES = json.loads(
+    (Path(hexar.__file__).resolve().parent / "data" / "situations.json").read_text("utf-8")
+)
+NAVIGATION_SITUATIONS = [
+    (e["marker"], e["sentence"]) for e in SITUATION_ENTRIES if e["scope"] == "navigation"
+]
+NAVIGATION_CATALOGUE = [
+    f'- if the evidence mentions "{marker}": {sentence}'
+    for marker, sentence in NAVIGATION_SITUATIONS
+]
 
 CLASSIFY_PROMPT = """Pick the component explainer.
 
@@ -140,24 +151,15 @@ def test_rule_reasoner_reads_no_package_data_once_imported(monkeypatch, registry
     assert vars(reasoner) == {}  # answering set no attribute either
 
 
-def test_situation_catalogue_lists_the_reasoners_navigation_situations():
-    package = Path(hexar.__file__).resolve().parent
-    entries = json.loads((package / "data" / "situations.json").read_text("utf-8"))
-    expected = [(e["marker"], e["sentence"]) for e in entries if e["scope"] == "navigation"]
-    assert list(NAVIGATION_SITUATIONS) == expected
-    assert NAVIGATION_SUB_EXPLAINERS == tuple(
-        e["sub_explainer"] for e in entries if e["scope"] == "navigation"
+def test_situation_catalogue_lists_the_reasoners_navigation_situations(rule_reasoner):
+    assert SITUATION_CATALOGUE.split("\n") == NAVIGATION_CATALOGUE
+    # the end-to-end matcher reads every situations.json entry, in file order
+    assert SITUATIONS == tuple(SITUATION_ENTRIES)
+    markers = "\n".join(f"- {e['marker']} -" for e in SITUATION_ENTRIES)
+    prompt = f"## All recorded information\n## Other events\n{markers}\n"
+    assert rule_reasoner.complete_text("sys", prompt).text == " ".join(
+        dict.fromkeys(e["sentence"] for e in SITUATION_ENTRIES)
     )
-    assert situation_catalogue().split("\n") == [
-        f'- if the evidence mentions "{marker}": {sentence}' for marker, sentence in expected
-    ]
-
-
-def test_situation_catalogue_is_built_once(monkeypatch):
-    catalogue = situation_catalogue()
-    monkeypatch.setattr(reasoner_module, "read_package_data", _unreadable)
-    monkeypatch.setattr(navigation, "NAVIGATION_SITUATIONS", ())
-    assert situation_catalogue() is catalogue
 
 
 @pytest.mark.parametrize("scenario_id", range(5, 11))
@@ -173,9 +175,9 @@ def test_navigation_is_answered_only_from_the_listed_situations(
     answer = rule_reasoner.complete_text("sys", prompt).text
     assert answer == dict(NAVIGATION_SITUATIONS)[marker]
 
-    whole = prompt.replace(listed, situation_catalogue())
+    whole = prompt.replace(listed, "\n".join(NAVIGATION_CATALOGUE))
     assert rule_reasoner.complete_text("sys", whole).text == answer
-    others = [line for line in situation_catalogue().split("\n") if f'"{marker}"' not in line]
+    others = [line for line in NAVIGATION_CATALOGUE if f'"{marker}"' not in line]
     with pytest.raises(NoMatchError):
         rule_reasoner.complete_text("sys", prompt.replace(listed, "\n".join(others)))
 
@@ -506,8 +508,12 @@ def test_all_components_is_billed_its_refused_navigation_call(registry, rule_rea
 
 def test_make_reasoner_factory():
     assert isinstance(make_reasoner("rule"), RuleReasoner)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown reasoner kind"):
         make_reasoner("quantum")
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command in ("explain", "evaluate"):
+        flag = commands[command]._option_string_actions["--reasoner"]
+        assert flag.choices == list(REASONERS)
 
 
 # -- remote client --------------------------------------------------------------
